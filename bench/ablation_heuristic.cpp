@@ -97,9 +97,8 @@ int main() {
       double Nops = 0, Overhead = 0, Survivors = 0;
       const unsigned Seeds = 3;
       for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
-        diversity::InsertionStats S;
         driver::Variant V = driver::makeVariant(M.P, Opts, Seed);
-        S = V.Stats;
+        const diversity::InsertionStats &S = V.Pipeline.Nop;
         Nops += static_cast<double>(S.NopsInserted);
         Overhead +=
             driver::execute(V.MIR, W.RefInput).cycles() / BaseCycles - 1.0;

@@ -6,7 +6,7 @@
 // Measures the gadget-scan pipeline that backs the paper's Tables 2/3 in
 // four execution modes over the same (original, variants) corpus:
 //
-//   reference   -- the per-offset oracle (ScanOptions::ForceReference),
+//   reference   -- the test-only per-offset oracle (tests/ScanOracle.h),
 //                  one fresh O(Size x MaxInstrs) survivor pass per
 //                  variant: the pre-optimization behaviour.
 //   full        -- decode-once ImageScan, serial, fresh scan per variant
@@ -33,6 +33,7 @@
 #include "gadget/Scanner.h"
 #include "obs/Json.h"
 #include "support/ThreadPool.h"
+#include "tests/ScanOracle.h"
 #include "workloads/Workloads.h"
 
 #include <chrono>
@@ -118,8 +119,6 @@ int main(int Argc, char **Argv) {
 
   auto Opts = diversity::DiversityOptions::uniform(0.3);
 
-  gadget::ScanOptions Reference;
-  Reference.ForceReference = true;
   gadget::ScanOptions Full; // decode-once, serial, shared original scan
   gadget::ScanOptions Incremental = Full;
   Incremental.Incremental = true;
@@ -155,7 +154,7 @@ int main(int Argc, char **Argv) {
     // Pre-optimization shape: one independent reference pass per pair.
     std::vector<std::vector<gadget::SurvivingGadget>> RefOut;
     for (const auto &V : Versions)
-      RefOut.push_back(gadget::survivingGadgets(Base, V, Reference));
+      RefOut.push_back(gadget::reference::survivingGadgets(Base, V));
     R.ReferenceS = secondsSince(T0);
 
     T0 = Clock::now();

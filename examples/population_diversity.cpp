@@ -25,6 +25,7 @@
 #include "support/TablePrinter.h"
 #include "workloads/Workloads.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 
@@ -79,13 +80,18 @@ int main() {
 
   for (double Prob : {0.05, 0.10, 0.30, 0.50, 0.70, 0.90}) {
     auto Opts = diversity::DiversityOptions::uniform(Prob);
-    std::set<std::vector<uint8_t>> Distinct;
+    // Byte-distinct images, found by equality search: ordering them in a
+    // std::set trips a GCC 12 -Wstringop-overread false positive in
+    // Release builds.
+    std::vector<std::vector<uint8_t>> Distinct;
     std::vector<std::set<uint64_t>> Populations;
     double Slowdown = 0;
     for (uint64_t Seed = 1; Seed <= PopulationSize; ++Seed) {
       driver::Variant V = driver::makeVariant(P, Opts, Seed);
       Populations.push_back(gadgetIdentities(V.Image.Text));
-      Distinct.insert(std::move(V.Image.Text));
+      if (std::find(Distinct.begin(), Distinct.end(), V.Image.Text) ==
+          Distinct.end())
+        Distinct.push_back(std::move(V.Image.Text));
       Slowdown +=
           driver::execute(V.MIR, W.TrainInput).cycles() / BaseCycles - 1.0;
     }

@@ -12,6 +12,7 @@
 #include "frontend/Lower.h"
 #include "frontend/Parser.h"
 #include "lir/ISel.h"
+#include "mexec/Precompiled.h"
 #include "obs/Metrics.h"
 #include "passes/Passes.h"
 #include "verify/BaselineCache.h"
@@ -94,7 +95,6 @@ Variant driver::makeVariant(const Program &P,
     obs::Span S("pipeline.diversify");
     V.MIR = P.MIR;
     V.Pipeline = Pipe.run(V.MIR, Opts, Seed);
-    V.Stats = V.Pipeline.Nop;
   }
   {
     obs::Span S("pipeline.emit");
@@ -120,11 +120,11 @@ codegen::Image driver::linkBaseline(const Program &P,
 
 mexec::RunResult driver::execute(const mir::MModule &MIR,
                                  const std::vector<int32_t> &Input,
-                                 bool CollectOutput, mexec::Engine E) {
+                                 bool CollectOutput) {
   mexec::RunOptions Opts;
   Opts.Input = Input;
   Opts.CollectOutput = CollectOutput;
-  return mexec::runWith(E, MIR, Opts);
+  return mexec::Precompiled(MIR).run(Opts);
 }
 
 VerifiedVariant
@@ -222,7 +222,6 @@ driver::makeVariantVerified(const Program &P,
   Out.SeedUsed = Seed;
   Out.V.MIR = P.MIR;
   Out.V.Image = linkBaseline(P, Link);
-  Out.V.Stats = diversity::InsertionStats();
   Out.V.Pipeline = diversity::PipelineStats();
   Out.Report.add(verify::ErrorCode::RetriesExhausted,
                  "all " + std::to_string(Schedule.budget()) +

@@ -73,9 +73,6 @@ bool profileAndStamp(Program &P, const std::vector<int32_t> &TrainInput);
 struct Variant {
   mir::MModule MIR;
   codegen::Image Image;
-  /// NOP-insertion counters (the Nop slice of Pipeline, kept as a
-  /// separate field for the paper-era single-transform call sites).
-  diversity::InsertionStats Stats;
   /// Per-transform counters of the pipeline that produced this variant.
   diversity::PipelineStats Pipeline;
 };
@@ -97,12 +94,11 @@ codegen::Image linkBaseline(const Program &P,
                             const codegen::LinkOptions &Link =
                                 codegen::LinkOptions());
 
-/// Executes machine IR on \p Input with the default cost model, on the
-/// fast (precompiled) engine unless \p E selects the reference oracle.
+/// Executes machine IR on \p Input with the default cost model on the
+/// precompiled engine.
 mexec::RunResult execute(const mir::MModule &MIR,
                          const std::vector<int32_t> &Input,
-                         bool CollectOutput = false,
-                         mexec::Engine E = mexec::Engine::Fast);
+                         bool CollectOutput = false);
 
 /// A diversified build that has been through the verification pipeline.
 struct VerifiedVariant {

@@ -3,21 +3,19 @@
 // Part of the PGSD project, a reproduction of "Profile-guided Automated
 // Software Diversity" (Homescu et al., CGO 2013).
 //
-// Two implementations live here (DESIGN.md section 15):
+// The scanner is decode-once (DESIGN.md section 15): one linear pass
+// decodes each offset exactly once into a flat fact table (length +
+// class/NOP flag bits), then a backward DP computes the gadget suffix at
+// every offset. Every stored DP value is a pure function of the
+// MaxInstrs x 15-byte window after its offset, which is what makes the
+// incremental rescan's dirty-range widening sound.
 //
-//  * The reference oracle (decodeGadgetAt and the ForceReference paths):
-//    decode afresh from every byte offset with a MaxInstrs window. This
-//    is the executable specification of what a gadget is.
-//
-//  * The decode-once scanner (ImageScan): one linear pass decodes each
-//    offset exactly once into a flat fact table (length + class/NOP flag
-//    bits), then a backward DP computes the gadget suffix at every
-//    offset. Every stored DP value is a pure function of the MaxInstrs x
-//    15-byte window after its offset, which is what makes the
-//    incremental rescan's dirty-range widening sound.
-//
-// ScannerParityTest pins byte-identical results between the two across
-// the workload battery, fuzzed programs, and random incremental edits.
+// decodeGadgetAt / normalizedGadgetHash decode one offset afresh: the
+// executable specification of what a gadget is. The lazy survivor probe
+// calls them directly, and the test-only reference scanner
+// (tests/ScanOracle.h) is built on them; ScannerParityTest pins
+// byte-identical results between that oracle and this scanner across the
+// workload battery, fuzzed programs, and random incremental edits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -403,30 +401,11 @@ bool ImageScan::normalizedHashAt(uint32_t Offset, uint64_t &HashOut,
 }
 
 //===----------------------------------------------------------------------===//
-// Free functions (fast by default, reference oracle on request)
+// Free functions
 //===----------------------------------------------------------------------===//
 
 std::vector<Gadget> gadget::scanGadgets(const uint8_t *Text, size_t Size,
                                         const ScanOptions &Opts) {
-  if (Opts.ForceReference) {
-    obs::Span Sp("gadget.scan");
-    obs::counterAdd("gadget.scans_reference");
-    std::vector<Gadget> Gadgets;
-    std::vector<std::pair<uint32_t, uint8_t>> Instrs;
-    Instrs.reserve(Opts.MaxInstrs);
-    for (size_t Offset = 0; Offset < Size; ++Offset) {
-      if (!decodeGadgetAt(Text, Size, static_cast<uint32_t>(Offset), Opts,
-                          Instrs))
-        continue;
-      Gadget G;
-      G.Offset = static_cast<uint32_t>(Offset);
-      const auto &Last = Instrs.back();
-      G.Length = Last.first + Last.second - G.Offset;
-      G.NumInstrs = static_cast<uint8_t>(Instrs.size());
-      Gadgets.push_back(G);
-    }
-    return Gadgets;
-  }
   ImageScan Scan(Text, Size, Opts);
   return Scan.gadgets();
 }
@@ -539,28 +518,6 @@ gadget::survivingGadgets(const std::vector<uint8_t> &Original,
                          const std::vector<uint8_t> &Diversified,
                          const ScanOptions &Opts) {
   obs::Span Sp("gadget.survivor");
-  if (Opts.ForceReference) {
-    std::vector<SurvivingGadget> Survivors;
-    std::vector<Gadget> OrigGadgets =
-        scanGadgets(Original.data(), Original.size(), Opts);
-    std::vector<std::pair<uint32_t, uint8_t>> Scratch;
-    Scratch.reserve(Opts.MaxInstrs);
-    for (const Gadget &G : OrigGadgets) {
-      uint64_t HashA, HashB;
-      unsigned NonNopA, NonNopB;
-      if (!normalizedGadgetHash(Original.data(), Original.size(), G.Offset,
-                                Opts, HashA, NonNopA, Scratch))
-        continue;
-      if (G.Offset >= Diversified.size())
-        continue;
-      if (!normalizedGadgetHash(Diversified.data(), Diversified.size(),
-                                G.Offset, Opts, HashB, NonNopB, Scratch))
-        continue;
-      if (HashA == HashB)
-        Survivors.push_back({G.Offset, HashA});
-    }
-    return Survivors;
-  }
   ImageScan OrigScan(Original.data(), Original.size(), Opts);
   if (Opts.Incremental) {
     ImageScan DivScan = OrigScan;
@@ -576,11 +533,6 @@ gadget::survivingGadgetsMulti(const std::vector<uint8_t> &Original,
                               const ScanOptions &Opts) {
   obs::Span Sp("gadget.survivor");
   std::vector<std::vector<SurvivingGadget>> Out(Versions.size());
-  if (Opts.ForceReference) {
-    for (size_t I = 0; I != Versions.size(); ++I)
-      Out[I] = survivingGadgets(Original, Versions[I], Opts);
-    return Out;
-  }
   // One shared original-image scan and one shared (offset, hash) list of
   // its gadgets; both are immutable once built, so workers read them
   // concurrently without synchronization.
@@ -629,24 +581,6 @@ gadget::gadgetsInAtLeast(const std::vector<std::vector<uint8_t>> &Versions,
   // across versions; each version contributes at most one occurrence
   // per identity (one gadget per start offset).
   std::unordered_map<uint64_t, unsigned> Occurrences;
-  if (Opts.ForceReference) {
-    std::vector<std::pair<uint32_t, uint8_t>> Scratch;
-    Scratch.reserve(Opts.MaxInstrs);
-    for (const std::vector<uint8_t> &Text : Versions) {
-      std::vector<Gadget> Gadgets =
-          scanGadgets(Text.data(), Text.size(), Opts);
-      for (const Gadget &G : Gadgets) {
-        uint64_t Hash;
-        unsigned NonNop;
-        if (!normalizedGadgetHash(Text.data(), Text.size(), G.Offset, Opts,
-                                  Hash, NonNop, Scratch))
-          continue;
-        ++Occurrences[identityOf(G.Offset, Hash)];
-      }
-    }
-    return thresholdCounts(Occurrences, Thresholds, Versions.size());
-  }
-
   auto Accumulate = [&Opts](const std::vector<uint8_t> &Text,
                             std::unordered_map<uint64_t, unsigned> &Map) {
     ImageScan Scan(Text.data(), Text.size(), Opts);

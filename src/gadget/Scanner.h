@@ -26,21 +26,20 @@
 ///   normalized content) appear in at least K of N diversified versions
 ///   (the paper's Table 3: K in {2, 5, 12} of N = 25).
 ///
-/// Two implementations back these queries (DESIGN.md section 15):
+/// The queries run on the *decode-once scanner* (ImageScan; DESIGN.md
+/// section 15): each offset is decoded exactly once into a flat side
+/// table of (length, class) facts, then a backward dynamic-programming
+/// pass computes the gadget suffix starting at every offset -- O(Size)
+/// decodes. ImageScan additionally supports incremental rescans
+/// (re-decode only the regions perturbed by a byte diff) and is
+/// immutable after construction, so one original-image scan can be
+/// shared read-only across worker threads.
 ///
-/// * The *reference oracle* decodes afresh from every byte offset with
-///   an Opts.MaxInstrs window -- O(Size x MaxInstrs) decodes per image.
-///   It is the executable specification, kept behind
-///   ScanOptions::ForceReference and pinned by ScannerParityTest.
-///
-/// * The *decode-once scanner* (ImageScan) decodes each offset exactly
-///   once into a flat side table of (length, class) facts, then a
-///   backward dynamic-programming pass computes the gadget suffix
-///   starting at every offset -- O(Size) decodes, byte-identical
-///   results. ImageScan additionally supports incremental rescans
-///   (re-decode only the regions perturbed by a byte diff) and is
-///   immutable after construction, so one original-image scan can be
-///   shared read-only across worker threads.
+/// decodeGadgetAt and normalizedGadgetHash answer one offset by decoding
+/// afresh with an Opts.MaxInstrs window: the executable specification.
+/// A per-offset reference scanner built on them lives with the tests
+/// (tests/ScanOracle.h), and ScannerParityTest pins the decode-once
+/// scanner byte-identical to it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,10 +67,6 @@ struct ScanOptions {
   /// gadgets. Off for the paper's Survivor counting (which only counts
   /// free-branch-terminated sequences); on inside the attack checker.
   bool IncludeSyscallGadgets = false;
-  /// Use the per-offset reference oracle instead of the decode-once
-  /// scanner. Slow (O(Size x MaxInstrs) decodes); exists so the parity
-  /// tests and benches can compare against the executable spec.
-  bool ForceReference = false;
   /// Seed each diversified-image scan from the shared original-image
   /// scan and rescan only the byte ranges the variant perturbed
   /// (survivingGadgetsMulti). Results are identical by construction.
@@ -186,7 +181,7 @@ std::vector<Gadget> scanGadgets(const uint8_t *Text, size_t Size,
 /// Decodes the gadget starting at \p Offset into (offset, length)
 /// instruction boundaries including the terminator; returns false when
 /// no valid gadget starts there. Exposed for the attack classifier and
-/// as the per-offset reference oracle.
+/// the per-offset reference oracle.
 bool decodeGadgetAt(const uint8_t *Text, size_t Size, uint32_t Offset,
                     const ScanOptions &Opts,
                     std::vector<std::pair<uint32_t, uint8_t>> &InstrsOut);
@@ -198,7 +193,7 @@ bool normalizedGadgetHash(const uint8_t *Text, size_t Size, uint32_t Offset,
                           unsigned &NonNopInstrsOut);
 
 /// As above, reusing \p Scratch for the instruction boundaries (the
-/// reference survivor loops call this per gadget).
+/// survivor probe calls this per gadget).
 bool normalizedGadgetHash(const uint8_t *Text, size_t Size, uint32_t Offset,
                           const ScanOptions &Opts, uint64_t &HashOut,
                           unsigned &NonNopInstrsOut,

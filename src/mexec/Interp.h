@@ -152,30 +152,10 @@ struct RunResult {
 /// Runs \p M from its entry function with the tree-walking reference
 /// engine. This is the semantic oracle: mexec::Precompiled must produce
 /// bit-identical RunResults, and the engine-parity test suite holds it
-/// to that.
+/// to that. Library code executes MIR on mexec::Precompiled only; this
+/// entry point serves the engine-parity tests, bench/interp_throughput
+/// and the benchmark's --write-expected mode.
 RunResult run(const mir::MModule &M, const RunOptions &Opts);
-
-/// Which execution engine to run MIR on. Fast is the precompiled
-/// direct-threaded engine (mexec/Precompiled.h); Reference is the
-/// tree-walking oracle above. The two are bit-identical by contract, so
-/// the choice only affects throughput.
-enum class Engine : uint8_t {
-  Fast,      ///< Precompiled direct-threaded stream (default).
-  Reference, ///< Tree-walking oracle.
-};
-
-/// Returns a stable lowercase name ("fast", "reference").
-const char *engineName(Engine E);
-
-/// Parses an engine name as accepted by the pgsdc --engine flag.
-/// Returns false (leaving \p Out untouched) on anything unknown.
-bool parseEngine(const std::string &Name, Engine &Out);
-
-/// Runs \p M on the engine \p E selects. For Engine::Fast this compiles
-/// the module once and throws the stream away afterwards -- callers that
-/// execute the same module repeatedly should hold a mexec::Precompiled
-/// instead.
-RunResult runWith(Engine E, const mir::MModule &M, const RunOptions &Opts);
 
 } // namespace mexec
 } // namespace pgsd

@@ -400,11 +400,10 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
 }
 
 RunResult Precompiled::run(const RunOptions &Opts) const {
-  // A different cost model would make every baked charge stale; the
-  // reference engine looks costs up per instruction and is bit-identical
-  // by definition, so rare custom-cost runs take that path.
+  // A different cost model would make every baked charge stale, so rare
+  // custom-cost runs bake a one-off stream against Opts.Costs.
   if (!(Opts.Costs == Costs))
-    return mexec::run(*Src, Opts);
+    return Precompiled(*Src, Opts.Costs).execute(Opts);
   return execute(Opts);
 }
 
@@ -1083,12 +1082,3 @@ done:
 #if defined(__GNUC__)
 #pragma GCC diagnostic pop
 #endif
-
-RunResult mexec::runWith(Engine E, const MModule &M,
-                         const RunOptions &Opts) {
-  if (E == Engine::Reference)
-    return run(M, Opts);
-  // Compiling against Opts.Costs means the fast path is always taken.
-  Precompiled P(M, Opts.Costs);
-  return P.run(Opts);
-}

@@ -33,9 +33,9 @@
 /// Cycles10, Instructions, Checksum, Output, Counters, BlockCounts, and
 /// trap kind/reason. tests/EngineParityTest.cpp enforces this over the
 /// workload suite, a fuzz corpus, and trapping programs. Runs whose
-/// RunOptions::Costs differ from the baked cost model fall back to the
-/// reference engine (the stream's pre-baked charges would be stale), so
-/// the contract holds for every RunOptions.
+/// RunOptions::Costs differ from the baked cost model execute a stream
+/// rebuilt against those costs (the pre-baked charges would be stale),
+/// so the contract holds for every RunOptions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -143,14 +143,15 @@ struct PFunc {
 class Precompiled {
 public:
   /// Lowers \p M against \p Costs (charges are baked into the stream).
-  /// \p M must outlive the Precompiled: the custom-cost fallback path
-  /// and block-count shapes refer back to it.
+  /// \p M must outlive the Precompiled: custom-cost runs rebuild the
+  /// stream from it.
   explicit Precompiled(const mir::MModule &M,
                        const CostModel &Costs = CostModel());
 
-  /// Executes the precompiled stream. Bit-identical to
-  /// mexec::run(M, Opts); when Opts.Costs differs from the baked model
-  /// this delegates to the reference engine directly.
+  /// Executes the precompiled stream. Bit-identical to the reference
+  /// engine (mexec::run) on the same module and options; when Opts.Costs
+  /// differs from the baked model this compiles and runs a fresh stream
+  /// against Opts.Costs.
   RunResult run(const RunOptions &Opts) const;
 
   /// The cost model the stream was compiled against.

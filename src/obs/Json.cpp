@@ -120,7 +120,12 @@ std::string obs::jsonEscape(std::string_view S) {
 }
 
 std::string obs::jsonString(std::string_view S) {
-  return "\"" + jsonEscape(S) + "\"";
+  // Appended piecewise: in Release builds GCC 12 flags
+  // `"\"" + std::string` with a -Wrestrict false positive.
+  std::string Out(1, '"');
+  Out += jsonEscape(S);
+  Out += '"';
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,8 @@
 
 #include "profile/Profile.h"
 
+#include "mexec/Precompiled.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -341,10 +343,9 @@ ProfileData profile::profileModule(const MModule &M,
   InstrumentationPlan Plan = instrumentModule(Instrumented);
   Instrumented.NumProfCounters = Plan.NumCounters;
   // A training run is a one-shot execution of a freshly instrumented
-  // module: runWith bakes TrainOptions' cost model into a fresh stream,
-  // so even custom-cost training stays on the fast engine.
+  // module: bake TrainOptions' cost model into the stream directly.
   mexec::RunResult Result =
-      mexec::runWith(mexec::Engine::Fast, Instrumented, TrainOptions);
+      mexec::Precompiled(Instrumented, TrainOptions.Costs).run(TrainOptions);
   if (Result.Trapped)
     return ProfileData(); // empty: caller decides how to proceed
   return recoverCounts(Plan, Result.Counters);

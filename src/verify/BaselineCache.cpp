@@ -23,11 +23,9 @@ struct BaselineCache::Entry {
 
 BaselineCache::BaselineCache(const mir::MModule &BaselineMod,
                              const VerifyOptions &Opts)
-    : Baseline(&BaselineMod), MaxSteps(Opts.MaxSteps), Engine(Opts.Engine) {
+    : MaxSteps(Opts.MaxSteps), Compiled(BaselineMod) {
   Battery = Opts.InputBattery.empty() ? defaultInputBattery()
                                       : Opts.InputBattery;
-  if (Engine == mexec::Engine::Fast)
-    Compiled.emplace(BaselineMod);
   Entries = std::make_unique<Entry[]>(Battery.size());
 }
 
@@ -42,7 +40,7 @@ const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
     Run.Input = Battery[Index];
     Run.CollectOutput = true;
     Run.MaxSteps = MaxSteps;
-    E.Result = Compiled ? Compiled->run(Run) : mexec::run(*Baseline, Run);
+    E.Result = Compiled.run(Run);
     IRan = true;
   });
   if (IRan) {

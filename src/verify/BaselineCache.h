@@ -10,9 +10,8 @@
 /// variant seeds (driver::makeVariantsBatch) verifies every variant
 /// against the *same* baseline on the *same* input battery, so without a
 /// cache the baseline runs N x (1 + retries) times per input. One
-/// BaselineCache resolves the battery once, compiles the baseline once
-/// (for the fast engine), and computes each input's baseline RunResult
-/// on first use only.
+/// BaselineCache resolves the battery once, compiles the baseline once,
+/// and computes each input's baseline RunResult on first use only.
 ///
 /// Thread-safety: entries fill under a per-entry std::once_flag, so
 /// ThreadPool workers can share one const BaselineCache without
@@ -32,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace pgsd {
@@ -44,8 +42,8 @@ namespace verify {
 class BaselineCache {
 public:
   /// Resolves the battery from \p Opts (falling back to
-  /// defaultInputBattery()) and, when Opts.Engine is Fast, compiles the
-  /// baseline eagerly so every entry fill reuses one stream.
+  /// defaultInputBattery()) and compiles the baseline eagerly so every
+  /// entry fill reuses one stream.
   BaselineCache(const mir::MModule &Baseline, const VerifyOptions &Opts);
   ~BaselineCache();
 
@@ -93,12 +91,9 @@ public:
   }
 
 private:
-  const mir::MModule *Baseline;
   uint64_t MaxSteps;
-  mexec::Engine Engine;
   std::vector<std::vector<int32_t>> Battery;
-  /// Compiled baseline stream (fast engine only).
-  std::optional<mexec::Precompiled> Compiled;
+  mexec::Precompiled Compiled; ///< Baseline stream shared by every fill.
   struct Entry; // Holds a std::once_flag: non-movable, hence the array.
   std::unique_ptr<Entry[]> Entries;
   mutable std::atomic<uint64_t> Hits{0};

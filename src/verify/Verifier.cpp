@@ -89,9 +89,7 @@ void diffExecute(const MModule &Baseline, const MModule &Variant,
   const std::vector<std::vector<int32_t>> &Battery = Cache.battery();
 
   // The variant reruns on every input: compile it once up front.
-  std::optional<mexec::Precompiled> FastVariant;
-  if (Opts.Engine == mexec::Engine::Fast)
-    FastVariant.emplace(Variant);
+  const mexec::Precompiled CompiledVariant(Variant);
 
   mexec::RunOptions Run;
   Run.CollectOutput = true;
@@ -105,8 +103,7 @@ void diffExecute(const MModule &Baseline, const MModule &Variant,
     // call. Budget accordingly so legitimate NOPs never trip the limit.
     Run.Input = Battery[In];
     Run.MaxSteps = RB.Instructions * 2 + 4096;
-    mexec::RunResult RV =
-        FastVariant ? FastVariant->run(Run) : mexec::run(Variant, Run);
+    mexec::RunResult RV = CompiledVariant.run(Run);
 
     if (RB.Trapped != RV.Trapped || RB.Trap != RV.Trap) {
       R.add(ErrorCode::TrapMismatch,

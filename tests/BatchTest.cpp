@@ -30,9 +30,9 @@ void expectIdentical(const driver::VerifiedVariant &A,
                      const driver::VerifiedVariant &B, size_t SeedIndex) {
   SCOPED_TRACE("seed index " + std::to_string(SeedIndex));
   EXPECT_EQ(A.V.Image.Text, B.V.Image.Text);
-  EXPECT_EQ(A.V.Stats.NopsInserted, B.V.Stats.NopsInserted);
-  EXPECT_EQ(A.V.Stats.CandidateSites, B.V.Stats.CandidateSites);
-  EXPECT_EQ(A.V.Stats.PerKind, B.V.Stats.PerKind);
+  EXPECT_EQ(A.V.Pipeline.Nop.NopsInserted, B.V.Pipeline.Nop.NopsInserted);
+  EXPECT_EQ(A.V.Pipeline.Nop.CandidateSites, B.V.Pipeline.Nop.CandidateSites);
+  EXPECT_EQ(A.V.Pipeline.Nop.PerKind, B.V.Pipeline.Nop.PerKind);
   EXPECT_EQ(A.SeedUsed, B.SeedUsed);
   EXPECT_EQ(A.Attempts, B.Attempts);
   EXPECT_EQ(A.UsedFallback, B.UsedFallback);

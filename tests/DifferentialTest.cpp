@@ -129,7 +129,8 @@ private:
         appendf("  %c = %s;\n", var(), expr(2).c_str());
         break;
       }
-      std::string Counter = "i" + std::to_string(NextLoopId++);
+      std::string Counter = "i"; // piecewise: GCC 12 -Wrestrict (Release)
+      Counter += std::to_string(NextLoopId++);
       appendf("  var %s = 0;\n", Counter.c_str());
       appendf("  while (%s < %d) {\n", Counter.c_str(),
               static_cast<int>(Gen.nextBelow(20) + 1));

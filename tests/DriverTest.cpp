@@ -56,7 +56,7 @@ TEST(Driver, VariantIsDeterministicPerSeed) {
   driver::Variant A = driver::makeVariant(P, Opts, 3);
   driver::Variant B = driver::makeVariant(P, Opts, 3);
   EXPECT_EQ(A.Image.Text, B.Image.Text);
-  EXPECT_EQ(A.Stats.NopsInserted, B.Stats.NopsInserted);
+  EXPECT_EQ(A.Pipeline.Nop.NopsInserted, B.Pipeline.Nop.NopsInserted);
 }
 
 TEST(Driver, OutputCollectionIsOptIn) {

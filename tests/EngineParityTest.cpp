@@ -18,7 +18,8 @@
 //    instruction/cycle counts at the trap point,
 //  - fault-injected variants (analysis/MirFault.h) that survive
 //    mir::verify, exercising broken-but-executable control flow,
-//  - custom cost models (the baked-stream fallback path).
+//  - custom cost models (baked streams, and the stream rebuilt when a
+//    run's costs differ from the baked ones).
 //
 //===----------------------------------------------------------------------===//
 
@@ -362,35 +363,15 @@ TEST(EngineParity, CustomCostsMatchViaBakedStream) {
   runBoth(P.MIR, Opts, "custom costs, baked");
 }
 
-TEST(EngineParity, CostMismatchFallsBackToReference) {
+TEST(EngineParity, CostMismatchRebuildsStream) {
   const workloads::Workload &W = workloads::specWorkload("429.mcf");
   driver::Program P = driver::compileProgram(W.Source, W.Name);
   ASSERT_TRUE(P.ok()) << P.errors();
   // Stream baked against the default model, run with a different one:
-  // Precompiled::run must detect the mismatch and delegate to the
-  // reference engine rather than charge stale costs.
+  // Precompiled::run must detect the mismatch and run a stream rebuilt
+  // against the run's costs rather than charge stale ones.
   mexec::Precompiled PC(P.MIR);
   mexec::RunOptions Opts = fullCollect(W.TrainInput);
   Opts.Costs.Alu *= 3;
   expectSame(mexec::run(P.MIR, Opts), PC.run(Opts), "mismatched costs");
-  // And runWith(Fast) bakes the custom model instead of falling back.
-  expectSame(mexec::run(P.MIR, Opts),
-             mexec::runWith(mexec::Engine::Fast, P.MIR, Opts),
-             "runWith custom costs");
-}
-
-//===----------------------------------------------------------------------===//
-// Engine name plumbing (the pgsdc --engine flag parses through these).
-//===----------------------------------------------------------------------===//
-
-TEST(EngineParity, EngineNamesRoundTrip) {
-  EXPECT_STREQ(mexec::engineName(mexec::Engine::Fast), "fast");
-  EXPECT_STREQ(mexec::engineName(mexec::Engine::Reference), "reference");
-  mexec::Engine E = mexec::Engine::Reference;
-  EXPECT_TRUE(mexec::parseEngine("fast", E));
-  EXPECT_EQ(E, mexec::Engine::Fast);
-  EXPECT_TRUE(mexec::parseEngine("reference", E));
-  EXPECT_EQ(E, mexec::Engine::Reference);
-  EXPECT_FALSE(mexec::parseEngine("turbo", E));
-  EXPECT_EQ(E, mexec::Engine::Reference); // untouched on failure
 }

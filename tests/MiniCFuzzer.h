@@ -158,7 +158,8 @@ private:
       break;
     }
     default: { // bounded while loop with a unique counter
-      std::string Counter = "i" + std::to_string(NextLoopId++);
+      std::string Counter = "i"; // piecewise: GCC 12 -Wrestrict (Release)
+      Counter += std::to_string(NextLoopId++);
       appendf("%svar %s = 0;\n", Pad.c_str(), Counter.c_str());
       appendf("%swhile (%s < %d) {\n", Pad.c_str(), Counter.c_str(),
               static_cast<int>(Gen.nextBelow(12) + 1));
@@ -173,7 +174,8 @@ private:
 
   void helper(unsigned Index) {
     Helper H;
-    H.Name = "h" + std::to_string(Index);
+    H.Name = "h"; // piecewise: GCC 12 -Wrestrict (Release)
+    H.Name += std::to_string(Index);
     H.Arity = 1 + static_cast<unsigned>(Gen.nextBelow(3));
     std::string Params;
     for (unsigned A = 0; A != H.Arity; ++A)

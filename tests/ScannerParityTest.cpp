@@ -5,7 +5,7 @@
 //
 // The decode-once scanner (gadget::ImageScan and the default free-
 // function paths) must be byte-identical to the per-offset reference
-// oracle (ScanOptions::ForceReference) on every query that feeds the
+// oracle (tests/ScanOracle.h) on every query that feeds the
 // paper's Table 2/3 numbers: gadget enumeration, NOP-normalized hashes,
 // Survivor pairs, and multi-version threshold counts. Zero tolerance --
 // any divergence here silently corrupts the security evaluation.
@@ -31,6 +31,7 @@
 #include "x86/Decoder.h"
 
 #include "MiniCFuzzer.h"
+#include "ScanOracle.h"
 
 #include <gtest/gtest.h>
 
@@ -141,32 +142,30 @@ const diversity::TransformKind AllKinds[] = {
 
 TEST(ScannerParity, WorkloadSuiteAllPipelines) {
   ScanOptions Fast;
-  ScanOptions Ref;
-  Ref.ForceReference = true;
   unsigned Combos = 0;
   for (const workloads::Workload &W : workloads::specSuite()) {
     driver::Program P = driver::compileProgram(W.Source, W.Name);
     ASSERT_TRUE(P.ok()) << W.Name;
     const std::vector<uint8_t> Base = driver::linkBaseline(P).Text;
     expectSameGadgets(gadget::scanGadgets(Base.data(), Base.size(), Fast),
-                      gadget::scanGadgets(Base.data(), Base.size(), Ref),
+                      gadget::reference::scanGadgets(Base.data(), Base.size()),
                       W.Name + " baseline");
     for (diversity::TransformKind Kind : AllKinds) {
       const uint64_t Seed = 0x5EED + Combos;
       const std::vector<uint8_t> Div = variantText(P, Kind, Seed);
       expectSameGadgets(gadget::scanGadgets(Div.data(), Div.size(), Fast),
-                        gadget::scanGadgets(Div.data(), Div.size(), Ref),
+                        gadget::reference::scanGadgets(Div.data(), Div.size()),
                         W.Name + " variant");
       expectSameSurvivors(
           gadget::survivingGadgets(Base, Div, Fast),
-          gadget::survivingGadgets(Base, Div, Ref),
+          gadget::reference::survivingGadgets(Base, Div),
           W.Name + "/" + diversity::transformKindName(Kind));
       // Incremental seeding from the original scan must agree too.
       ScanOptions Incr = Fast;
       Incr.Incremental = true;
       expectSameSurvivors(
           gadget::survivingGadgets(Base, Div, Incr),
-          gadget::survivingGadgets(Base, Div, Ref),
+          gadget::reference::survivingGadgets(Base, Div),
           W.Name + "/" + diversity::transformKindName(Kind) + " incr");
       ++Combos;
     }
@@ -193,10 +192,8 @@ TEST(ScannerParity, MultiVersionThresholdsAndSweeps) {
       Versions.push_back(
           variantText(P, diversity::TransformKind::Nop, Seed));
 
-    ScanOptions Ref;
-    Ref.ForceReference = true;
     const std::vector<uint64_t> Want =
-        gadget::gadgetsInAtLeast(Versions, Thresholds, Ref);
+        gadget::reference::gadgetsInAtLeast(Versions, Thresholds);
 
     ScanOptions Serial;
     EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, Thresholds, Serial), Want)
@@ -214,7 +211,7 @@ TEST(ScannerParity, MultiVersionThresholdsAndSweeps) {
     // survivingGadgetsMulti: all strategies against per-pair reference.
     std::vector<std::vector<SurvivingGadget>> WantSurv;
     for (const auto &V : Versions)
-      WantSurv.push_back(gadget::survivingGadgets(Base, V, Ref));
+      WantSurv.push_back(gadget::reference::survivingGadgets(Base, V));
     for (unsigned Jobs : {1u, 4u}) {
       for (bool Incremental : {false, true}) {
         ScanOptions O;

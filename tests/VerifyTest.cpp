@@ -269,7 +269,7 @@ TEST(Verify, RetriesThenFallsBackToBaseline) {
   // The fallback is the undiversified baseline image, byte for byte.
   codegen::Image Base = driver::linkBaseline(P);
   EXPECT_EQ(VV.V.Image.Text, Base.Text);
-  EXPECT_EQ(VV.V.Stats.NopsInserted, 0u);
+  EXPECT_EQ(VV.V.Pipeline.Nop.NopsInserted, 0u);
 }
 
 TEST(Verify, RetrySucceedsWithDerivedSeed) {

@@ -127,7 +127,9 @@ int usage() {
                "  --profile FILE      use a saved training profile\n"
                "  -o FILE             output file (profile command)\n"
                "  --seed N            variant seed (default 1)\n"
-               "  --pmin P --pmax P   probability range, percent\n"
+               "  --pmin P --pmax P   probability range, percent in\n"
+               "                      [0, 100], pmin <= pmax (default\n"
+               "                      0-30)\n"
                "  --model M           log (default) | linear | uniform\n"
                "  --xchg              include the bus-locking XCHG NOPs\n"
                "  --block-shift       also insert entry pad blocks\n"
@@ -136,9 +138,6 @@ int usage() {
                "                      applied in list order (diversify/\n"
                "                      verify/batch/analyze/equiv/nvx;\n"
                "                      default: nop)\n"
-               "  --engine E          fast (default) | reference\n"
-               "                      execution engine for run/verify/\n"
-               "                      batch (bit-identical results)\n"
                "  --retries N         verification attempts (default 3)\n"
                "  --variants N        variants per program (analyze,\n"
                "                      equiv)\n"
@@ -269,12 +268,11 @@ struct Options {
   std::string ProfileFile;
   std::string OutFile;
   uint64_t Seed = 1;
-  double PMin = 0.0;
-  double PMax = 30.0;
+  double PMin = 0.0;  ///< Fraction; --pmin takes percent.
+  double PMax = 0.30; ///< Fraction; --pmax takes percent.
   std::string Model = "log";
   unsigned Retries = 3;
   unsigned Variants = 3;
-  mexec::Engine Engine = mexec::Engine::Fast;
   unsigned Seeds = 8;      ///< Batch size (batch/gadgets commands).
   bool SeedsSet = false;   ///< --seeds given (gadgets sweep trigger).
   unsigned Jobs = 0;       ///< Worker threads; 0 means all cores.
@@ -334,20 +332,14 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       if (!parseUint64Strict(V, Opts.Seed))
         return BadValue(V);
-    } else if (Arg == "--pmin") {
+    } else if (Arg == "--pmin" || Arg == "--pmax") {
       const char *V = Value();
       if (!V)
         return false;
-      if (!parseDoubleStrict(V, Opts.PMin) || Opts.PMin < 0.0)
+      double Percent;
+      if (!parseDoubleStrict(V, Percent) || Percent < 0.0 || Percent > 100.0)
         return BadValue(V);
-      Opts.PMin /= 100.0;
-    } else if (Arg == "--pmax") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseDoubleStrict(V, Opts.PMax) || Opts.PMax < 0.0)
-        return BadValue(V);
-      Opts.PMax /= 100.0;
+      (Arg == "--pmin" ? Opts.PMin : Opts.PMax) = Percent / 100.0;
     } else if (Arg == "--model") {
       const char *V = Value();
       if (!V)
@@ -356,14 +348,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (Opts.Model != "log" && Opts.Model != "linear" &&
           Opts.Model != "uniform") {
         std::fprintf(stderr, "pgsdc: unknown model '%s'\n", V);
-        return false;
-      }
-    } else if (Arg == "--engine") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!mexec::parseEngine(V, Opts.Engine)) {
-        std::fprintf(stderr, "pgsdc: unknown engine '%s'\n", V);
         return false;
       }
     } else if (Arg == "--retries") {
@@ -489,11 +473,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       return false;
     }
   }
-  // Percentages arrive /100 already; fix defaults set in percent.
-  if (Opts.PMax > 1.0)
-    Opts.PMax /= 100.0;
-  if (Opts.PMin > 1.0)
-    Opts.PMin /= 100.0;
+  if (Opts.PMin > Opts.PMax) {
+    std::fprintf(stderr, "pgsdc: --pmin %g exceeds --pmax %g\n",
+                 100.0 * Opts.PMin, 100.0 * Opts.PMax);
+    return false;
+  }
   return true;
 }
 
@@ -569,7 +553,7 @@ int cmdRun(const Options &Opts) {
   std::vector<int32_t> Input;
   if (int Err = parseInputChecked(Opts, Input))
     return Err;
-  mexec::RunResult R = driver::execute(P.MIR, Input, true, Opts.Engine);
+  mexec::RunResult R = driver::execute(P.MIR, Input, true);
   std::fputs(R.Output.c_str(), stdout);
   if (R.Trapped) {
     std::fprintf(stderr, "pgsdc: program trapped (%s): %s\n",
@@ -760,7 +744,6 @@ int cmdVerify(const Options &Opts) {
   diversity::DiversityOptions D = diversityOptions(Opts);
   verify::VerifyOptions VOpts;
   VOpts.MaxAttempts = Opts.Retries;
-  VOpts.Engine = Opts.Engine;
   driver::VerifiedVariant VV =
       driver::makeVariantVerified(P, Opts.Pipe, D, Opts.Seed, VOpts);
   if (!VV.Report.ok())
@@ -795,8 +778,8 @@ int cmdVerify(const Options &Opts) {
               D.label().c_str(),
               static_cast<unsigned long long>(VV.SeedUsed), VV.Attempts);
   std::printf("nops inserted: %llu of %llu sites, .text %zu bytes\n",
-              static_cast<unsigned long long>(VV.V.Stats.NopsInserted),
-              static_cast<unsigned long long>(VV.V.Stats.CandidateSites),
+              static_cast<unsigned long long>(VV.V.Pipeline.Nop.NopsInserted),
+              static_cast<unsigned long long>(VV.V.Pipeline.Nop.CandidateSites),
               VV.V.Image.Text.size());
   return ExitOK;
 }
@@ -848,7 +831,6 @@ int cmdBatch(const Options &Opts) {
   driver::BatchOptions B;
   B.Jobs = Opts.Jobs;
   B.Verify.MaxAttempts = Opts.Retries;
-  B.Verify.Engine = Opts.Engine;
   driver::BatchResult R =
       driver::makeVariantsBatch(P, Opts.Pipe, diversityOptions(Opts),
                                 Seeds, B);
@@ -1124,7 +1106,6 @@ int cmdNvx(const Options &Opts) {
   N.Diversity = diversityOptions(Opts);
   N.Pipeline = Opts.Pipe;
   N.Verify.MaxAttempts = Opts.Retries;
-  N.Verify.Engine = Opts.Engine;
   nvx::NvxResult R = nvx::runLockstep(P, {}, N);
 
   std::printf("nvx: %u replicas, %s vote, %llu rounds: %llu consensus, "
@@ -1188,7 +1169,6 @@ int cmdServe(const Options &Opts) {
   S.Pipe = Opts.Pipe;
   S.Diversity = diversityOptions(Opts);
   S.Verify.MaxAttempts = Opts.Retries;
-  S.Verify.Engine = Opts.Engine;
   serve::ServeResult R = serve::serveVariants(P, S);
 
   auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
