@@ -28,10 +28,12 @@
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "support/ThreadPool.h"
+#include "verify/BaselineCache.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,6 +136,9 @@ int main(int Argc, char **Argv) {
     R.Name = W.Name;
     R.Seeds = SeedsPer;
     R.Serial = driver::makeVariantsBatch(P, Opts, Seeds, Serial);
+    // A fresh baseline memo, so the parallel batch runs the baseline on
+    // the battery too and the speedup compares the two schedules alone.
+    P.Baselines = std::make_shared<verify::BaselineMemo>();
     R.Parallel = driver::makeVariantsBatch(P, Opts, Seeds, Parallel);
 
     // Determinism parity while we are here: the two passes must agree

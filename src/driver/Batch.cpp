@@ -10,7 +10,6 @@
 #include "obs/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Time.h"
-#include "verify/BaselineCache.h"
 
 using namespace pgsd;
 using namespace pgsd::driver;
@@ -42,16 +41,19 @@ BatchResult driver::makeVariantsBatch(const Program &P,
   auto WallStart = support::monotonicSeconds();
   auto CpuStart = support::processCpuSeconds();
 
-  // Every seed verifies against the same baseline on the same battery:
-  // one shared read-only cache runs the baseline once per input for the
-  // whole batch instead of once per variant attempt. Entries fill under
-  // per-entry once_flags, so sharing it across workers is race-free and
-  // -- because each baseline run is a pure function of (baseline, input)
-  // -- does not disturb the Jobs-independence determinism contract.
+  // Every seed verifies against the same baseline on the same battery.
+  // The runs are the caller's cache when given, else P's memo: the
+  // first batch of a program fills each input once and later batches
+  // only read. This batch reads them through its own handle, so the
+  // counters in BatchResult are its own even when another call shares
+  // the runs. Entries fill under per-entry once_flags, so sharing is
+  // race-free and -- because each baseline run is a pure function of
+  // (baseline, input) -- does not disturb the Jobs-independence
+  // determinism contract.
   verify::VerifyOptions Verify = BOpts.Verify;
   verify::BaselineCache Cache = [&] {
     obs::Span S(Obs ? "batch.setup" : nullptr);
-    return verify::BaselineCache(P.MIR, BOpts.Verify);
+    return verify::BaselineCache(baselineFor(P, BOpts.Verify));
   }();
   Verify.Cache = &Cache;
 

@@ -22,6 +22,14 @@
 /// privately. tests/BatchTest.cpp pins this; the TSan CI job proves the
 /// sharing really is read-only.
 ///
+/// Baseline runs are per program, not per batch: every batch on P reads
+/// the baseline battery runs memoized on P (driver::baselineFor), keyed
+/// by mir::digest of P.MIR, the resolved battery and MaxSteps. The first
+/// batch fills each input once; later batches, and nvx respawns through
+/// makeVariantVerified, execute no baseline. Each entry is a pure
+/// function of (baseline, input), so the memo changes no verdict, seed
+/// or image. A caller-supplied VerifyOptions::Cache takes precedence.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PGSD_DRIVER_BATCH_H
@@ -62,11 +70,12 @@ struct BatchResult {
   uint64_t Rejected = 0;       ///< Fell back to the baseline image.
   uint64_t Retried = 0;        ///< Needed more than one attempt.
   uint64_t TotalAttempts = 0;  ///< Variant builds across all seeds.
-  /// Baseline differential runs served from the shared
-  /// verify::BaselineCache (vs. computed). Across a healthy batch,
-  /// Fills stays at most battery-size while Hits grows with
-  /// seeds x inputs: the baseline executes once per input, not once per
-  /// variant attempt.
+  /// This batch's baseline requests served from already-computed runs
+  /// (Hits) or that executed the baseline (Fills). The runs are shared
+  /// with every other call on the program, so Fills is at most
+  /// battery-size on a program's first batch and 0 on later ones, while
+  /// Hits grows with seeds x inputs. Concurrent batches each count only
+  /// their own requests.
   uint64_t BaselineCacheHits = 0;
   uint64_t BaselineCacheFills = 0;
   /// Worker exceptions the pool dropped because another task's exception
@@ -92,7 +101,8 @@ struct BatchResult {
 /// Produces one verified variant per seed in \p Seeds, fanning
 /// makeVariantVerified across \p BOpts.Jobs workers. \p P is shared
 /// read-only by all workers and must outlive the call; it is never
-/// mutated (compile and profile it *before* batching).
+/// mutated apart from its internally synchronized baseline memo
+/// (compile and profile it *before* batching).
 BatchResult makeVariantsBatch(const Program &P,
                               const diversity::DiversityOptions &Opts,
                               const std::vector<uint64_t> &Seeds,

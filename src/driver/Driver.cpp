@@ -17,8 +17,8 @@
 #include "passes/Passes.h"
 #include "verify/BaselineCache.h"
 
+#include <cassert>
 #include <cstdio>
-#include <optional>
 #include <utility>
 
 using namespace pgsd;
@@ -137,33 +137,30 @@ driver::makeVariantVerified(const Program &P,
                              Link);
 }
 
-VerifiedVariant
-driver::makeVariantVerified(const Program &P,
-                            const diversity::Pipeline &Pipe,
-                            const diversity::DiversityOptions &Opts,
-                            uint64_t Seed,
-                            const verify::VerifyOptions &VOpts,
-                            const codegen::LinkOptions &Link) {
+std::shared_ptr<verify::BaselineRuns>
+driver::baselineFor(const Program &P, const verify::VerifyOptions &VOpts) {
+  if (VOpts.Cache)
+    return VOpts.Cache->runs();
+  assert(P.Baselines && "verified call on a moved-from Program");
+  return P.Baselines->runsFor(P.MIR, VOpts);
+}
+
+namespace {
+
+/// The retry loop of makeVariantVerified; \p Effective carries the
+/// baseline cache every attempt reads.
+VerifiedVariant verifyWithRetries(const Program &P,
+                                  const diversity::Pipeline &Pipe,
+                                  const diversity::DiversityOptions &Opts,
+                                  uint64_t Seed,
+                                  const verify::VerifyOptions &Effective,
+                                  const codegen::LinkOptions &Link) {
   VerifiedVariant Out;
-  verify::VerifyOptions Effective = VOpts;
-  Effective.Link = Link;
-  // The structural diff only models NOP insertion and shift preludes;
-  // reordering/renaming pipelines are screened by the equivalence
-  // prover and differential execution instead.
-  Effective.CheckStructure =
-      VOpts.CheckStructure && Pipe.structurePreserving();
-  // Every retry attempt diffs against the same baseline on the same
-  // battery; share one baseline run cache across the whole retry loop
-  // (unless the caller -- e.g. makeVariantsBatch -- already supplied a
-  // wider-scoped one).
-  std::optional<verify::BaselineCache> LocalCache;
-  if (!Effective.Cache)
-    Effective.Cache = &LocalCache.emplace(P.MIR, Effective);
   // One schedule object walks the attempt seeds; with the default
   // SeedStride of 0 this reproduces the historical
   // deriveRetrySeed(Seed, Attempt) sequence exactly.
-  verify::RetrySchedule Schedule(Seed, VOpts.MaxAttempts,
-                                 VOpts.SeedStride);
+  verify::RetrySchedule Schedule(Seed, Effective.MaxAttempts,
+                                 Effective.SeedStride);
   while (!Schedule.exhausted()) {
     unsigned Attempt = Schedule.attemptsMade();
     uint64_t S = Schedule.next();
@@ -227,5 +224,35 @@ driver::makeVariantVerified(const Program &P,
                  "all " + std::to_string(Schedule.budget()) +
                      " attempts failed verification; emitting "
                      "undiversified baseline image");
+  return Out;
+}
+
+} // namespace
+
+VerifiedVariant
+driver::makeVariantVerified(const Program &P,
+                            const diversity::Pipeline &Pipe,
+                            const diversity::DiversityOptions &Opts,
+                            uint64_t Seed,
+                            const verify::VerifyOptions &VOpts,
+                            const codegen::LinkOptions &Link) {
+  verify::VerifyOptions Effective = VOpts;
+  Effective.Link = Link;
+  // The structural diff only models NOP insertion and shift preludes;
+  // reordering/renaming pipelines are screened by the equivalence
+  // prover and differential execution instead.
+  Effective.CheckStructure =
+      VOpts.CheckStructure && Pipe.structurePreserving();
+  if (Effective.Cache)
+    return verifyWithRetries(P, Pipe, Opts, Seed, Effective, Link);
+  // Every attempt, and every later call on P, diffs against the same
+  // baseline on the same battery: read P's memoized runs through a
+  // handle that counts this call's own hits and fills.
+  verify::BaselineCache Cache(baselineFor(P, Effective));
+  Effective.Cache = &Cache;
+  VerifiedVariant Out =
+      verifyWithRetries(P, Pipe, Opts, Seed, Effective, Link);
+  obs::counterAdd("verify.baseline_cache.hits", Cache.hits());
+  obs::counterAdd("verify.baseline_cache.fills", Cache.fills());
   return Out;
 }

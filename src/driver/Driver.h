@@ -35,9 +35,11 @@
 #include "lir/MIR.h"
 #include "mexec/Interp.h"
 #include "profile/Profile.h"
+#include "verify/BaselineCache.h"
 #include "verify/Diagnostic.h"
 #include "verify/Verifier.h"
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,6 +55,12 @@ struct Program {
   mir::MModule MIR;     ///< Machine IR; profile-stamped after
                         ///< profileAndStamp.
   bool HasProfile = false;
+  /// Baseline battery runs of this program, computed by the first
+  /// verified call that needs them and read by every later one. Keyed by
+  /// the digest of MIR, so a copy shares the runs while its MIR is
+  /// unchanged and gets its own once the MIR is mutated or re-stamped.
+  std::shared_ptr<verify::BaselineMemo> Baselines =
+      std::make_shared<verify::BaselineMemo>();
 
   /// True when compilation succeeded and the program is usable.
   bool ok() const { return Diags.ok(); }
@@ -99,6 +107,14 @@ codegen::Image linkBaseline(const Program &P,
 mexec::RunResult execute(const mir::MModule &MIR,
                          const std::vector<int32_t> &Input,
                          bool CollectOutput = false);
+
+/// The baseline runs a verified call on \p P reads: the runs behind
+/// \p VOpts.Cache when the caller supplied one, else P's memoized runs
+/// for (its MIR, the resolved battery, MaxSteps). makeVariantsBatch and
+/// makeVariantVerified count their own requests through a
+/// verify::BaselineCache handle on the result.
+std::shared_ptr<verify::BaselineRuns>
+baselineFor(const Program &P, const verify::VerifyOptions &VOpts);
 
 /// A diversified build that has been through the verification pipeline.
 struct VerifiedVariant {

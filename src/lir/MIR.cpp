@@ -282,6 +282,88 @@ std::string mir::print(const MModule &M) {
   return Out;
 }
 
+namespace {
+
+/// Word-at-a-time mixer behind mir::digest: each word is folded in with
+/// a multiply and the state is finalized SplitMix64-style.
+class Digest {
+public:
+  void add(uint64_t W) {
+    H = (H ^ W) * 0x9E3779B97F4A7C15ull;
+    H ^= H >> 29;
+  }
+  void add(const std::string &S) {
+    add(S.size());
+    uint64_t W = 0;
+    unsigned N = 0;
+    for (char C : S) {
+      W = (W << 8) | static_cast<uint8_t>(C);
+      if (++N == 8) {
+        add(W);
+        W = 0;
+        N = 0;
+      }
+    }
+    add(W);
+  }
+  uint64_t finish() const {
+    uint64_t Z = H;
+    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
+    return Z ^ (Z >> 31);
+  }
+
+private:
+  uint64_t H = 0x6a09e667f3bcc908ull;
+};
+
+} // namespace
+
+uint64_t mir::digest(const MModule &M) {
+  Digest D;
+  D.add(M.Name);
+  D.add(static_cast<uint64_t>(static_cast<int64_t>(M.EntryFunction)));
+  D.add(M.NumProfCounters);
+  D.add(M.Globals.size());
+  for (const ir::Global &G : M.Globals) {
+    D.add(G.Name);
+    D.add(G.SizeBytes);
+    D.add(G.Init.size());
+    for (int32_t V : G.Init)
+      D.add(static_cast<uint32_t>(V));
+  }
+  D.add(M.Functions.size());
+  for (const MFunction &F : M.Functions) {
+    D.add(F.Name);
+    D.add(static_cast<uint64_t>(F.NumParams) << 32 | F.FrameBytes);
+    D.add(static_cast<uint32_t>(F.ValueSlotsLowDisp));
+    D.add(uint64_t{F.UsesEbx} << 2 | uint64_t{F.UsesEsi} << 1 |
+          uint64_t{F.UsesEdi});
+    D.add(F.Blocks.size());
+    for (const MBasicBlock &BB : F.Blocks) {
+      D.add(BB.Name);
+      D.add(BB.ProfileCount);
+      D.add(BB.Instrs.size());
+      for (const MInstr &I : BB.Instrs) {
+        // Eight one-byte fields in one word, then the immediate and the
+        // callee index, then the intrinsic flag.
+        D.add(static_cast<uint64_t>(I.Op) |
+              static_cast<uint64_t>(I.Dst) << 8 |
+              static_cast<uint64_t>(I.Src) << 16 |
+              static_cast<uint64_t>(I.Alu) << 24 |
+              static_cast<uint64_t>(I.Shift) << 32 |
+              static_cast<uint64_t>(I.CC) << 40 |
+              static_cast<uint64_t>(I.NopK) << 48 |
+              static_cast<uint64_t>(I.Target.Intr) << 56);
+        D.add(static_cast<uint64_t>(static_cast<uint32_t>(I.Imm)) << 32 |
+              I.Target.Func);
+        D.add(I.Target.IsIntrinsic);
+      }
+    }
+  }
+  return D.finish();
+}
+
 std::string mir::verify(const MModule &M) {
   std::string Problem;
   for (const MFunction &F : M.Functions) {

@@ -139,6 +139,14 @@ std::string printInstr(const MInstr &I);
 /// Renders \p M as text for tests and debugging.
 std::string print(const MModule &M);
 
+/// A 64-bit structural digest of \p M: every field of every function,
+/// block, instruction and global (names and profile counts included)
+/// feeds it, so two modules that differ anywhere digest differently
+/// with overwhelming probability. Cheap enough to take per call (a
+/// word-mixing walk, no text rendering); the key of the baseline-run
+/// memo (verify::BaselineMemo).
+uint64_t digest(const MModule &M);
+
 /// Structural validity check; empty string when OK. Verifies branch
 /// grouping (control flow only in the trailing branch group), block id
 /// ranges, SETcc/MOVZX subregister constraints, and frame-slot alignment.

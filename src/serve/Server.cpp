@@ -41,12 +41,18 @@ ServeResult serve::serveVariants(const driver::Program &P,
   auto WallStart = support::monotonicSeconds();
 
   VariantStore Store(O.StoreDir);
+  // A caller-supplied cache is honoured: this call prewarms into its
+  // runs and persists from them, through a handle that counts only this
+  // call's requests. Otherwise the runs are this call's own.
   verify::BaselineCache Cache = [&] {
     obs::Span S(Obs ? "serve.setup" : nullptr);
+    if (O.Verify.Cache)
+      return verify::BaselineCache(O.Verify.Cache->runs());
     return verify::BaselineCache(P.MIR, O.Verify);
   }();
   verify::VerifyOptions Verify = O.Verify;
   Verify.Cache = &Cache;
+  size_t StoredBaselineRuns = 0; ///< Entries in the loaded artifact.
 
   {
     obs::Span S(Obs ? "serve.setup" : nullptr);
@@ -58,10 +64,12 @@ ServeResult serve::serveVariants(const driver::Program &P,
     // execution entirely. A corrupt artifact self-heals to a miss.
     BaselineArtifact Art;
     if (Store.loadBaseline(makeBaselineKey(P.MIR, O.Link), Art) ==
-        LoadStatus::Hit)
+        LoadStatus::Hit) {
       for (const auto &[Index, Run] : Art.Runs)
         if (Index < Cache.battery().size())
           Cache.prewarm(Index, Run);
+      StoredBaselineRuns = Art.Runs.size();
+    }
   }
 
   // Per-request telemetry sinks, merged after the drain (same contract
@@ -185,16 +193,16 @@ ServeResult serve::serveVariants(const driver::Program &P,
   {
     obs::Span S(Obs ? "serve.persist" : nullptr);
 
-    // Persist every baseline entry this run computed (or restored), so
-    // the next process starts with a warm differential cache. Only
-    // publish when the artifact would grow -- a pure-hit run rewrites
-    // nothing.
+    // Persist every baseline entry the cache holds (computed, restored,
+    // or filled by the caller), so the next process starts with a warm
+    // differential cache. Only publish when the artifact would grow --
+    // a pure-hit run rewrites nothing.
     BaselineArtifact Art;
     for (size_t I = 0; I != Cache.battery().size(); ++I)
       if (const mexec::RunResult *Run = Cache.peek(I))
         Art.Runs.emplace_back(static_cast<uint32_t>(I), *Run);
     R.BaselinePrewarmed = Cache.prewarmed();
-    if (Art.Runs.size() > R.BaselinePrewarmed) {
+    if (Art.Runs.size() > StoredBaselineRuns) {
       std::string PubErr;
       if (!Store.publishBaseline(makeBaselineKey(P.MIR, O.Link), Art,
                                  &PubErr) &&

@@ -29,7 +29,10 @@
 /// Baseline persistence: the verify::BaselineCache entries computed
 /// while filling are published as a baseline artifact on shutdown and
 /// prewarmed back on startup, so a restart also skips baseline
-/// re-execution, not just variant recompiles.
+/// re-execution, not just variant recompiles. A cache passed in
+/// ServeOptions::Verify.Cache is the one prewarmed, read and persisted;
+/// otherwise each call builds its own (it does not read the Program's
+/// baseline memo, see driver/Batch.h).
 ///
 /// Telemetry: serve.* counters, queue gauges, and a request-latency
 /// histogram (p50/p99 in ServeResult), exported via src/obs and checked
@@ -111,6 +114,8 @@ struct ServeResult {
   uint64_t StoreCorrupt = 0;    ///< Corrupt entries detected (self-healed).
   uint64_t DistinctVariants = 0; ///< Pairwise-distinct served images.
   uint64_t BaselinePrewarmed = 0; ///< Cache entries restored from disk.
+  /// This call's baseline requests served from the cache, and those that
+  /// executed the baseline.
   uint64_t BaselineCacheHits = 0;
   uint64_t BaselineCacheFills = 0;
   unsigned Jobs = 0;

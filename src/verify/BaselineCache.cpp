@@ -8,12 +8,24 @@
 #include "verify/BaselineCache.h"
 
 #include <cassert>
-#include <mutex>
 
 using namespace pgsd;
 using namespace pgsd::verify;
 
-struct BaselineCache::Entry {
+namespace {
+
+std::vector<std::vector<int32_t>> resolveBattery(const VerifyOptions &Opts) {
+  return Opts.InputBattery.empty() ? defaultInputBattery()
+                                   : Opts.InputBattery;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// BaselineRuns
+//===----------------------------------------------------------------------===//
+
+struct BaselineRuns::Entry {
   std::once_flag Once;
   mexec::RunResult Result;
   /// Release-published after the once body ran, so peek() can observe a
@@ -21,56 +33,104 @@ struct BaselineCache::Entry {
   std::atomic<bool> Filled{false};
 };
 
-BaselineCache::BaselineCache(const mir::MModule &BaselineMod,
-                             const VerifyOptions &Opts)
-    : MaxSteps(Opts.MaxSteps), Compiled(BaselineMod) {
-  Battery = Opts.InputBattery.empty() ? defaultInputBattery()
-                                      : Opts.InputBattery;
-  Entries = std::make_unique<Entry[]>(Battery.size());
+BaselineRuns::BaselineRuns(const mir::MModule &BaselineMod,
+                           std::vector<std::vector<int32_t>> Inputs,
+                           uint64_t Steps)
+    : MaxSteps(Steps), Battery(std::move(Inputs)),
+      Src(std::make_unique<Source>(BaselineMod)), Unfilled(Battery.size()),
+      Entries(std::make_unique<Entry[]>(Battery.size())) {}
+
+BaselineRuns::~BaselineRuns() = default;
+
+void BaselineRuns::entryDone() const {
+  if (Unfilled.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    Src.reset();
 }
 
-BaselineCache::~BaselineCache() = default;
-
-const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
+const mexec::RunResult &BaselineRuns::run(size_t Index,
+                                          bool &Computed) const {
   assert(Index < Battery.size() && "input index outside the battery");
   Entry &E = Entries[Index];
-  bool IRan = false;
+  Computed = false;
   std::call_once(E.Once, [&] {
     mexec::RunOptions Run;
     Run.Input = Battery[Index];
     Run.CollectOutput = true;
     Run.MaxSteps = MaxSteps;
-    E.Result = Compiled.run(Run);
-    IRan = true;
+    E.Result = Src->Compiled.run(Run);
+    Computed = true;
   });
-  if (IRan) {
+  if (Computed) {
     E.Filled.store(true, std::memory_order_release);
-    Fills.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    Hits.fetch_add(1, std::memory_order_relaxed);
+    entryDone();
   }
   return E.Result;
 }
 
-bool BaselineCache::prewarm(size_t Index, const mexec::RunResult &R) {
+bool BaselineRuns::prewarm(size_t Index, const mexec::RunResult &R) {
   assert(Index < Battery.size() && "input index outside the battery");
   Entry &E = Entries[Index];
-  bool IRan = false;
+  bool Installed = false;
   std::call_once(E.Once, [&] {
     E.Result = R;
-    IRan = true;
+    Installed = true;
   });
-  if (IRan) {
+  if (Installed) {
     E.Filled.store(true, std::memory_order_release);
-    Prewarmed.fetch_add(1, std::memory_order_relaxed);
+    entryDone();
   }
-  return IRan;
+  return Installed;
 }
 
-const mexec::RunResult *BaselineCache::peek(size_t Index) const {
+const mexec::RunResult *BaselineRuns::peek(size_t Index) const {
   assert(Index < Battery.size() && "input index outside the battery");
   const Entry &E = Entries[Index];
   if (!E.Filled.load(std::memory_order_acquire))
     return nullptr;
   return &E.Result;
+}
+
+//===----------------------------------------------------------------------===//
+// BaselineMemo
+//===----------------------------------------------------------------------===//
+
+std::shared_ptr<BaselineRuns>
+BaselineMemo::runsFor(const mir::MModule &Baseline,
+                      const VerifyOptions &Opts) {
+  const uint64_t Digest = mir::digest(Baseline);
+  std::vector<std::vector<int32_t>> Battery = resolveBattery(Opts);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (const Slot &S : Slots)
+    if (S.Digest == Digest && S.Runs->maxSteps() == Opts.MaxSteps &&
+        S.Runs->battery() == Battery)
+      return S.Runs;
+  Slots.push_back({Digest, std::make_shared<BaselineRuns>(
+                               Baseline, std::move(Battery), Opts.MaxSteps)});
+  return Slots.back().Runs;
+}
+
+//===----------------------------------------------------------------------===//
+// BaselineCache
+//===----------------------------------------------------------------------===//
+
+BaselineCache::BaselineCache(const mir::MModule &Baseline,
+                             const VerifyOptions &Opts)
+    : BaselineCache(std::make_shared<BaselineRuns>(
+          Baseline, resolveBattery(Opts), Opts.MaxSteps)) {}
+
+BaselineCache::BaselineCache(std::shared_ptr<BaselineRuns> Shared)
+    : Runs(std::move(Shared)) {}
+
+const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
+  bool Computed = false;
+  const mexec::RunResult &R = Runs->run(Index, Computed);
+  (Computed ? Fills : Hits).fetch_add(1, std::memory_order_relaxed);
+  return R;
+}
+
+bool BaselineCache::prewarm(size_t Index, const mexec::RunResult &R) {
+  if (!Runs->prewarm(Index, R))
+    return false;
+  Prewarmed.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }

@@ -95,12 +95,18 @@ struct VerifyOptions {
   /// into fresh seed neighbourhoods instead of re-mining one.
   uint64_t SeedStride = 0;
 
-  /// Optional shared baseline run cache (verify/BaselineCache.h). When
-  /// set, diffExecute takes its battery and baseline RunResults from the
+  /// Optional baseline run cache (verify/BaselineCache.h). When set,
+  /// diffExecute takes its battery and baseline RunResults from the
   /// cache instead of re-running the baseline; the cache must have been
-  /// built from the same baseline module and equivalent options. When
-  /// null, callers that verify repeatedly (retry loops, batches) still
-  /// get a per-call battery built exactly once.
+  /// built from the same baseline module and equivalent options. A
+  /// caller-supplied cache takes precedence everywhere: makeVariantsBatch,
+  /// makeVariantVerified and serveVariants read (and serve prewarms and
+  /// persists) its runs. When null, makeVariantsBatch and
+  /// makeVariantVerified read the runs memoized on the driver::Program,
+  /// keyed by mir::digest of its MIR, the resolved battery and MaxSteps,
+  /// so the baseline executes once per program rather than once per
+  /// call; serveVariants builds a cache of its own per call; a bare
+  /// verifyVariant call runs the baseline once per input.
   const BaselineCache *Cache = nullptr;
 
   /// Test seam: invoked on each candidate variant before verification

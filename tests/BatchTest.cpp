@@ -15,6 +15,7 @@
 #include "driver/Batch.h"
 #include "obs/Metrics.h"
 #include "support/ThreadPool.h"
+#include "verify/BaselineCache.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -79,13 +80,13 @@ TEST_P(BatchParityTest, SerialAndParallelImagesAreByteIdentical) {
   EXPECT_EQ(A.TotalAttempts, B.TotalAttempts);
   // The workload battery is known-good: nothing should be rejected.
   EXPECT_TRUE(B.allAccepted());
-  // The shared baseline cache runs the baseline once per input (the
-  // battery here is a single stream), then serves every further variant
-  // attempt from memory -- under any job count.
-  EXPECT_EQ(A.BaselineCacheFills, 1u);
-  EXPECT_EQ(B.BaselineCacheFills, 1u);
-  EXPECT_EQ(A.BaselineCacheHits, A.TotalAttempts - 1);
-  EXPECT_EQ(B.BaselineCacheHits, B.TotalAttempts - 1);
+  // Both batches read P's memoized baseline runs: the baseline runs once
+  // per input for the program (the battery here is a single stream), and
+  // every other variant attempt of either batch is served from memory --
+  // under any job count.
+  EXPECT_EQ(A.BaselineCacheFills + B.BaselineCacheFills, 1u);
+  EXPECT_EQ(A.BaselineCacheHits + B.BaselineCacheHits,
+            A.TotalAttempts + B.TotalAttempts - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -255,4 +256,34 @@ TEST(Batch, RejectedSeedsFallBackToBaselineAndAreCounted) {
     EXPECT_EQ(V.V.Image.Text, Baseline.Text);
     EXPECT_TRUE(V.Report.has(verify::ErrorCode::RetriesExhausted));
   }
+}
+
+TEST(Batch, CallerSuppliedCacheTakesPrecedenceOverTheMemo) {
+  driver::Program P = driver::compileProgram(
+      "fn main() { var s = 0; var i = 0; while (i < 30) { s = s + i; "
+      "i = i + 1; } print_int(s + read_int()); return 0; }",
+      "caller-cache");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  const auto Opts = diversity::DiversityOptions::uniform(0.5);
+  const std::vector<uint64_t> Seeds = {31, 32, 33, 34};
+
+  driver::BatchOptions B;
+  B.Jobs = 2;
+  verify::BaselineCache Cache(P.MIR, B.Verify);
+  for (size_t I = 0; I != Cache.battery().size(); ++I)
+    Cache.baselineRun(I);
+
+  driver::BatchOptions Cached = B;
+  Cached.Verify.Cache = &Cache;
+  driver::BatchResult R = driver::makeVariantsBatch(P, Opts, Seeds, Cached);
+  EXPECT_EQ(R.BaselineCacheFills, 0u);
+  EXPECT_EQ(R.BaselineCacheHits, R.TotalAttempts * Cache.battery().size());
+
+  // The memo was left alone: the first uncached batch still fills it,
+  // and its variants are byte-identical to the cached batch's.
+  driver::BatchResult Plain = driver::makeVariantsBatch(P, Opts, Seeds, B);
+  EXPECT_EQ(Plain.BaselineCacheFills, Cache.battery().size());
+  ASSERT_EQ(Plain.Variants.size(), R.Variants.size());
+  for (size_t I = 0; I != Seeds.size(); ++I)
+    expectIdentical(R.Variants[I], Plain.Variants[I], I);
 }

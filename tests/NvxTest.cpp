@@ -329,6 +329,8 @@ TEST(Nvx, HungReplicaIsCancelledEjectedAndRespawned) {
   // vote -- the watchdog cancels it, the monitor ejects it, a healthy
   // replacement is respawned from a fresh seed, and the session ends in
   // clean consensus.
+  obs::Registry::global().reset();
+  obs::setEnabled(true);
   driver::Program P = compile(SumSource, "sum");
   driver::Program Spin = compile(SpinSource, "spin");
   nvx::NvxOptions Opts;
@@ -343,6 +345,13 @@ TEST(Nvx, HungReplicaIsCancelledEjectedAndRespawned) {
   };
   std::vector<std::vector<int32_t>> Battery = {{1, 2}, {3}, {4, 5}};
   nvx::NvxResult R = nvx::runLockstep(P, Battery, Opts);
+  obs::LocalMetrics Snap = obs::Registry::global().snapshot();
+  obs::setEnabled(false);
+  obs::Registry::global().reset();
+  // The spawn batch filled P's baseline memo once per verification
+  // input; the respawn read those runs and executed no baseline.
+  EXPECT_EQ(Snap.Counters.at("verify.baseline_cache.fills"),
+            verify::defaultInputBattery().size());
   EXPECT_GE(R.Timeouts, 1u);
   EXPECT_EQ(R.Ejections, 1u);
   EXPECT_EQ(R.Respawns, 1u);

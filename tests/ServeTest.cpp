@@ -336,6 +336,62 @@ TEST_F(ServeTest, BaselinePrewarmServesFreshSeeds) {
   EXPECT_GT(Fresh.BaselineCacheHits, 0u);
 }
 
+TEST_F(ServeTest, CallerSuppliedCacheIsReadAndPersisted) {
+  serve::ServeOptions O = baseOptions();
+  O.Requests = 3;
+  verify::BaselineCache Cache(P.MIR, O.Verify);
+  for (size_t I = 0; I != Cache.battery().size(); ++I)
+    Cache.baselineRun(I);
+
+  serve::ServeOptions Cached = O;
+  Cached.Verify.Cache = &Cache;
+  serve::ServeResult R = serve::serveVariants(P, Cached);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.Fills, 3u);
+  EXPECT_EQ(R.BaselineCacheFills, 0u);
+  EXPECT_GT(R.BaselineCacheHits, 0u);
+
+  // The same requests without a cache, into a store of their own, serve
+  // byte-identical artifacts.
+  serve::ServeOptions Plain = O;
+  Plain.StoreDir = Dir.string() + "-plain";
+  serve::ServeResult U = serve::serveVariants(P, Plain);
+  std::error_code EC;
+  fs::remove_all(Plain.StoreDir, EC);
+  ASSERT_TRUE(U.ok()) << U.Error;
+  ASSERT_EQ(U.Requests.size(), R.Requests.size());
+  for (size_t I = 0; I != R.Requests.size(); ++I) {
+    EXPECT_EQ(U.Requests[I].TextDigest, R.Requests[I].TextDigest);
+    EXPECT_EQ(U.Requests[I].SeedUsed, R.Requests[I].SeedUsed);
+  }
+
+  // The caller's runs were persisted: a restart with fresh seeds
+  // prewarms the whole battery and executes no baseline.
+  O.BaseSeed = 1000;
+  serve::ServeResult Restart = serve::serveVariants(P, O);
+  ASSERT_TRUE(Restart.ok()) << Restart.Error;
+  EXPECT_EQ(Restart.BaselinePrewarmed, Cache.battery().size());
+  EXPECT_EQ(Restart.BaselineCacheFills, 0u);
+}
+
+TEST_F(ServeTest, StoredBaselineIsPrewarmedIntoTheCallerCache) {
+  serve::ServeOptions O = baseOptions();
+  O.Requests = 2;
+  serve::ServeResult Cold = serve::serveVariants(P, O);
+  ASSERT_TRUE(Cold.ok()) << Cold.Error;
+  ASSERT_GT(Cold.BaselineCacheFills, 0u);
+
+  verify::BaselineCache Cache(P.MIR, O.Verify);
+  serve::ServeOptions Cached = O;
+  Cached.Verify.Cache = &Cache;
+  serve::ServeResult Warm = serve::serveVariants(P, Cached);
+  ASSERT_TRUE(Warm.ok()) << Warm.Error;
+  EXPECT_EQ(Warm.Hits, 2u);
+  EXPECT_EQ(Warm.BaselinePrewarmed, Cold.BaselineCacheFills);
+  for (size_t I = 0; I != Cache.battery().size(); ++I)
+    EXPECT_NE(Cache.peek(I), nullptr) << "entry " << I;
+}
+
 TEST_F(ServeTest, StoreOpenFailurePropagates) {
   serve::ServeOptions O = baseOptions();
   O.StoreDir = "/dev/null/pgsd-store";
