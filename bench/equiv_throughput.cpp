@@ -3,31 +3,37 @@
 // Part of the PGSD project, a reproduction of "Profile-guided Automated
 // Software Diversity" (Homescu et al., CGO 2013).
 //
-// Measures what translation validation buys: for every workload of the
-// SPEC-like suite, a population of diversified variants is checked two
-// ways --
+// Measures what the static admission gates cost against what they
+// replace: for every workload of the SPEC-like suite, two populations
+// of diversified variants -- the paper's NOP pipeline ("nop") and all
+// four transforms ("nop,shift,sched,regs", which exercises the prover's
+// callee-saved renaming search) -- are each checked three ways:
 //
-//   static:  analysis::proveEquivalent, the symbolic equivalence proof
-//            (no execution at all), and
-//   dynamic: verify::verifyVariant restricted to differential execution
-//            over the default input battery (image/structure/profile
-//            families off, baseline runs served from a shared
-//            BaselineCache, i.e. the marginal cost a batch pays per
-//            variant),
+//   checkers: analysis::analyzeModule, the six MIR safety checkers,
+//   static:   analysis::proveEquivalent, the symbolic equivalence proof
+//             (no execution at all), and
+//   dynamic:  verify::verifyVariant restricted to differential execution
+//             over the default input battery (image/structure/profile
+//             families off, baseline runs served from a shared
+//             BaselineCache filled before timing, i.e. the marginal
+//             cost a batch pays per variant),
 //
 // and the per-variant wall costs are recorded as JSON (BENCH_equiv.json
 // by default, or argv[1]). The bench is self-checking: a clean variant
-// refuted by the prover, or a variant the two checkers disagree on, is
-// a correctness bug and fails the run rather than publishing numbers.
+// rejected by the checkers, refuted by the prover, or rejected by
+// differential execution is a correctness bug and fails the run rather
+// than publishing numbers.
 //
 // Knobs:
 //   PGSD_QUICK=1     -- 4 variants over a 5-workload subset (CI smoke).
-//   PGSD_VARIANTS=N  -- variants per workload (default 16).
+//   PGSD_VARIANTS=N  -- variants per workload and population (default 16).
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Analysis.h"
 #include "analysis/Equiv.h"
 #include "bench/BenchCommon.h"
+#include "diversity/Transform.h"
 #include "driver/Driver.h"
 #include "obs/Json.h"
 #include "verify/BaselineCache.h"
@@ -59,33 +65,59 @@ double now() {
       .count();
 }
 
+/// One variant population: a transform pipeline and its label.
+struct Population {
+  const char *Label;
+  diversity::Pipeline Pipe;
+};
+
+std::vector<Population> populations() {
+  std::vector<diversity::TransformKind> All;
+  diversity::parseTransformList("nop,shift,sched,regs", All);
+  return {{"nop", diversity::Pipeline()},
+          {"nop,shift,sched,regs", diversity::Pipeline(All)}};
+}
+
 struct Row {
   std::string Name;
+  std::string Population;
   unsigned Variants = 0;
   uint64_t FunctionsProved = 0;
+  double CheckersWall = 0.0;
   double StaticWall = 0.0;
   double DynamicWall = 0.0;
 
   double ratio() const {
     return StaticWall > 0.0 ? DynamicWall / StaticWall : 0.0;
   }
+  double perVariantMs(double Wall) const {
+    return Variants ? 1e3 * Wall / Variants : 0.0;
+  }
 };
 
 void appendJsonRow(std::string &Out, const Row &R, bool Last) {
   Out += "    {\"name\": " + obs::jsonString(R.Name) +
+         ", \"population\": " + obs::jsonString(R.Population) +
          ", \"variants\": " + obs::jsonUInt(R.Variants) +
          ", \"functions_proved\": " + obs::jsonUInt(R.FunctionsProved) +
+         ", \"checkers_wall_s\": " + obs::jsonNumber(R.CheckersWall, 5) +
+         ", \"checkers_per_variant_ms\": " +
+         obs::jsonNumber(R.perVariantMs(R.CheckersWall), 4) +
          ", \"static_wall_s\": " + obs::jsonNumber(R.StaticWall, 5) +
          ", \"static_per_variant_ms\": " +
-         obs::jsonNumber(R.Variants ? 1e3 * R.StaticWall / R.Variants : 0,
-                         4) +
+         obs::jsonNumber(R.perVariantMs(R.StaticWall), 4) +
          ", \"dynamic_wall_s\": " + obs::jsonNumber(R.DynamicWall, 5) +
          ", \"dynamic_per_variant_ms\": " +
-         obs::jsonNumber(R.Variants ? 1e3 * R.DynamicWall / R.Variants : 0,
-                         4) +
+         obs::jsonNumber(R.perVariantMs(R.DynamicWall), 4) +
          ", \"dynamic_over_static\": " + obs::jsonNumber(R.ratio(), 2) +
          "}" + (Last ? "\n" : ",\n");
 }
+
+/// Totals of one population over every workload.
+struct Total {
+  uint64_t Variants = 0;
+  double Checkers = 0, Static = 0, Dynamic = 0;
+};
 
 } // namespace
 
@@ -103,10 +135,10 @@ int main(int Argc, char **Argv) {
 
   auto Opts = diversity::DiversityOptions::profiled(
       diversity::ProbabilityModel::Log, 0.0, 0.3);
+  const std::vector<Population> Pops = populations();
 
   std::vector<Row> Rows;
-  double TotalStatic = 0, TotalDynamic = 0;
-  uint64_t TotalVariants = 0;
+  std::vector<Total> Totals(Pops.size());
   for (size_t WI = 0; WI != NumWorkloads; ++WI) {
     const workloads::Workload &W = Suite[WI];
     driver::Program P = driver::compileProgram(W.Source, W.Name);
@@ -121,85 +153,102 @@ int main(int Argc, char **Argv) {
       return 1;
     }
 
-    // Build the population up front so neither timed section pays for
-    // diversification or linking.
-    std::vector<driver::Variant> Variants;
-    Variants.reserve(VariantsPer);
-    for (unsigned S = 0; S != VariantsPer; ++S)
-      Variants.push_back(
-          driver::makeVariant(P, Opts, 0xe9010000ull + WI * 1000 + S));
-
-    Row R;
-    R.Name = W.Name;
-    R.Variants = VariantsPer;
-
-    // Static: the symbolic proof, every variant against the baseline.
-    double T0 = now();
-    for (const driver::Variant &V : Variants) {
-      analysis::EquivStats S;
-      verify::Report Rep = analysis::proveEquivalent(
-          P.MIR, V.MIR, analysis::EquivOptions(), &S);
-      if (!Rep.ok()) {
-        std::fprintf(stderr,
-                     "equiv_throughput: %s: prover refuted a clean "
-                     "variant:\n%s",
-                     W.Name.c_str(), Rep.str().c_str());
-        return 1;
-      }
-      R.FunctionsProved += S.FunctionsProved;
-    }
-    R.StaticWall = now() - T0;
-
-    // Dynamic: differential execution only, marginal cost (baseline
-    // runs come from the shared cache, as in a production batch).
+    // Differential execution only, marginal cost: baseline runs come
+    // from one shared cache, filled before any timed section, as in a
+    // production batch.
     verify::VerifyOptions VO;
     VO.CheckImage = false;
     VO.CheckStructure = false;
     VO.CheckProfile = false;
     verify::BaselineCache Cache(P.MIR, VO);
     VO.Cache = &Cache;
-    T0 = now();
-    for (const driver::Variant &V : Variants) {
-      verify::Report Rep = verify::verifyVariant(P.MIR, V.MIR, V.Image, VO);
-      if (!Rep.ok()) {
-        std::fprintf(stderr,
-                     "equiv_throughput: %s: differential execution "
-                     "rejected a clean variant:\n%s",
-                     W.Name.c_str(), Rep.str().c_str());
+    for (size_t I = 0; I != Cache.battery().size(); ++I)
+      (void)Cache.baselineRun(I);
+
+    for (size_t PI = 0; PI != Pops.size(); ++PI) {
+      const Population &Pop = Pops[PI];
+      // Build the population up front so no timed section pays for
+      // diversification or linking.
+      std::vector<driver::Variant> Variants;
+      Variants.reserve(VariantsPer);
+      for (unsigned S = 0; S != VariantsPer; ++S)
+        Variants.push_back(driver::makeVariant(
+            P, Pop.Pipe, Opts, 0xe9010000ull + WI * 1000 + S));
+
+      Row R;
+      R.Name = W.Name;
+      R.Population = Pop.Label;
+      R.Variants = VariantsPer;
+      auto Reject = [&](const char *Gate, const verify::Report &Rep) {
+        std::fprintf(stderr, "equiv_throughput: %s [%s]: %s rejected a "
+                     "clean variant:\n%s",
+                     W.Name.c_str(), Pop.Label, Gate, Rep.str().c_str());
         return 1;
+      };
+
+      // Checkers: the six MIR safety checkers on every variant.
+      double T0 = now();
+      for (const driver::Variant &V : Variants) {
+        verify::Report Rep = analysis::analyzeModule(V.MIR);
+        if (!Rep.ok())
+          return Reject("the checkers", Rep);
       }
+      R.CheckersWall = now() - T0;
+
+      // Static: the symbolic proof, every variant against the baseline.
+      T0 = now();
+      for (const driver::Variant &V : Variants) {
+        analysis::EquivStats S;
+        verify::Report Rep = analysis::proveEquivalent(
+            P.MIR, V.MIR, analysis::EquivOptions(), &S);
+        if (!Rep.ok())
+          return Reject("the prover", Rep);
+        R.FunctionsProved += S.FunctionsProved;
+      }
+      R.StaticWall = now() - T0;
+
+      T0 = now();
+      for (const driver::Variant &V : Variants) {
+        verify::Report Rep = verify::verifyVariant(P.MIR, V.MIR, V.Image, VO);
+        if (!Rep.ok())
+          return Reject("differential execution", Rep);
+      }
+      R.DynamicWall = now() - T0;
+
+      Totals[PI].Variants += VariantsPer;
+      Totals[PI].Checkers += R.CheckersWall;
+      Totals[PI].Static += R.StaticWall;
+      Totals[PI].Dynamic += R.DynamicWall;
+      std::printf("%-16s %-20s %2u variants: checkers %.2fms, static "
+                  "%.2fms, dynamic %.2fms per variant (%.1fx)\n",
+                  W.Name.c_str(), Pop.Label, VariantsPer,
+                  R.perVariantMs(R.CheckersWall),
+                  R.perVariantMs(R.StaticWall),
+                  R.perVariantMs(R.DynamicWall), R.ratio());
+      Rows.push_back(std::move(R));
     }
-    R.DynamicWall = now() - T0;
-
-    TotalStatic += R.StaticWall;
-    TotalDynamic += R.DynamicWall;
-    TotalVariants += VariantsPer;
-    std::printf("%-16s %2u variants: static %.2fms/variant, dynamic "
-                "%.2fms/variant (%.1fx)\n",
-                W.Name.c_str(), VariantsPer,
-                1e3 * R.StaticWall / VariantsPer,
-                1e3 * R.DynamicWall / VariantsPer, R.ratio());
-    Rows.push_back(std::move(R));
   }
-
-  double Ratio = TotalStatic > 0 ? TotalDynamic / TotalStatic : 0.0;
-  std::printf("total: %llu variants, static %.3fs, dynamic %.3fs, "
-              "dynamic/static %.1fx\n",
-              static_cast<unsigned long long>(TotalVariants), TotalStatic,
-              TotalDynamic, Ratio);
 
   std::string Json;
   Json += "{\n";
   Json += "  \"variants_per_workload\": " + obs::jsonUInt(VariantsPer) +
-          ",\n";
-  Json += "  \"total_variants\": " + obs::jsonUInt(TotalVariants) + ",\n";
-  Json += "  \"total_static_wall_s\": " + obs::jsonNumber(TotalStatic, 4) +
-          ",\n";
-  Json +=
-      "  \"total_dynamic_wall_s\": " + obs::jsonNumber(TotalDynamic, 4) +
-      ",\n";
-  Json += "  \"dynamic_over_static\": " + obs::jsonNumber(Ratio, 2) +
-          ",\n  \"workloads\": [\n";
+          ",\n  \"populations\": [\n";
+  for (size_t PI = 0; PI != Pops.size(); ++PI) {
+    const Total &T = Totals[PI];
+    double Ratio = T.Static > 0 ? T.Dynamic / T.Static : 0.0;
+    std::printf("total [%s]: %llu variants, checkers %.3fs, static %.3fs, "
+                "dynamic %.3fs, dynamic/static %.1fx\n",
+                Pops[PI].Label, static_cast<unsigned long long>(T.Variants),
+                T.Checkers, T.Static, T.Dynamic, Ratio);
+    Json += "    {\"population\": " + obs::jsonString(Pops[PI].Label) +
+            ", \"total_variants\": " + obs::jsonUInt(T.Variants) +
+            ", \"total_checkers_wall_s\": " + obs::jsonNumber(T.Checkers, 4) +
+            ", \"total_static_wall_s\": " + obs::jsonNumber(T.Static, 4) +
+            ", \"total_dynamic_wall_s\": " + obs::jsonNumber(T.Dynamic, 4) +
+            ", \"dynamic_over_static\": " + obs::jsonNumber(Ratio, 2) + "}" +
+            (PI + 1 == Pops.size() ? "\n" : ",\n");
+  }
+  Json += "  ],\n  \"workloads\": [\n";
   for (size_t I = 0; I != Rows.size(); ++I)
     appendJsonRow(Json, Rows[I], I + 1 == Rows.size());
   Json += "  ]\n}\n";

@@ -54,55 +54,6 @@ verify::ErrorCode analysis::checkerErrorCode(CheckerKind K) {
   return verify::ErrorCode::None;
 }
 
-FlagEffect analysis::flagEffect(const MInstr &I) {
-  switch (I.Op) {
-  case MOp::AluRR:
-  case MOp::AluRI:
-    // CMP is the sanctioned producer; every other ALU form overwrites
-    // EFLAGS as a side effect no consumer may rely on.
-    return I.Alu == x86::AluOp::Cmp ? FlagEffect::Defines
-                                    : FlagEffect::Clobbers;
-  case MOp::TestRR:
-    return FlagEffect::Defines;
-  case MOp::ImulRR:
-  case MOp::Neg:
-  case MOp::ShiftRI:
-  case MOp::ShiftRC:
-  case MOp::Idiv:
-  case MOp::AdjustSP: // add esp, imm
-  case MOp::ProfInc:  // add dword [counter], 1
-  case MOp::Call:     // callee executes arbitrary flag-writing code
-    return FlagEffect::Clobbers;
-  case MOp::MovRR:
-  case MOp::MovRI:
-  case MOp::MovGlobal:
-  case MOp::Load:
-  case MOp::Store:
-  case MOp::LoadFrame:
-  case MOp::StoreFrame:
-  case MOp::LeaFrame:
-  case MOp::Cdq:
-  case MOp::Not: // unlike NEG, NOT preserves EFLAGS on IA-32
-  case MOp::Setcc:
-  case MOp::Movzx8:
-  case MOp::Push:
-  case MOp::PushI:
-  case MOp::Pop:
-  case MOp::Jmp:
-  case MOp::Jcc:
-  case MOp::Ret:
-  case MOp::Nop: // every Table 1 candidate preserves EFLAGS
-    return FlagEffect::Neutral;
-  }
-  return FlagEffect::Clobbers; // unknown opcode: be conservative
-}
-
-bool analysis::isInsertedNop(const MInstr &I) {
-  // The insertion pass only ever adds MOp::Nop (one Table 1 candidate
-  // per site); no other opcode is a removable decoration.
-  return I.Op == MOp::Nop;
-}
-
 std::vector<const MInstr *>
 analysis::nonNopInstrs(const mir::MBasicBlock &BB) {
   std::vector<const MInstr *> Out;
@@ -111,123 +62,6 @@ analysis::nonNopInstrs(const mir::MBasicBlock &BB) {
     if (!isInsertedNop(I))
       Out.push_back(&I);
   return Out;
-}
-
-void analysis::forEachReadReg(const MInstr &I,
-                              const std::function<void(Reg)> &Fn) {
-  switch (I.Op) {
-  case MOp::MovRR:
-  case MOp::Movzx8:
-  case MOp::Load:
-    Fn(I.Src);
-    break;
-  case MOp::Store:
-    Fn(I.Dst); // address base
-    Fn(I.Src); // stored value
-    break;
-  case MOp::StoreFrame:
-  case MOp::Push:
-    Fn(I.Src);
-    break;
-  case MOp::AluRR:
-  case MOp::ImulRR:
-  case MOp::TestRR:
-    Fn(I.Dst);
-    Fn(I.Src);
-    break;
-  case MOp::AluRI:
-  case MOp::Neg:
-  case MOp::Not:
-  case MOp::ShiftRI:
-    Fn(I.Dst);
-    break;
-  case MOp::ShiftRC:
-    Fn(I.Dst);
-    Fn(Reg::ECX); // shift count in CL
-    break;
-  case MOp::Cdq:
-    Fn(Reg::EAX);
-    break;
-  case MOp::Idiv:
-    Fn(I.Src);
-    Fn(Reg::EAX); // dividend low half
-    Fn(Reg::EDX); // dividend high half (set up by CDQ)
-    break;
-  case MOp::Ret:
-    Fn(Reg::EAX); // return value
-    break;
-  // Setcc writes only the 8-bit subregister; the generated code always
-  // masks through MOVZX before the value escapes, so the upper bits it
-  // technically merges with are never observed and Setcc is treated as
-  // a pure definition.
-  case MOp::Setcc:
-  case MOp::MovRI:
-  case MOp::MovGlobal:
-  case MOp::LoadFrame:
-  case MOp::LeaFrame:
-  case MOp::PushI:
-  case MOp::Pop:
-  case MOp::AdjustSP:
-  case MOp::Call:
-  case MOp::Jmp:
-  case MOp::Jcc:
-  case MOp::Nop:
-  case MOp::ProfInc:
-    break;
-  }
-}
-
-void analysis::forEachWrittenReg(const MInstr &I,
-                                 const std::function<void(Reg)> &Fn) {
-  switch (I.Op) {
-  case MOp::MovRR:
-  case MOp::MovRI:
-  case MOp::MovGlobal:
-  case MOp::Load:
-  case MOp::LoadFrame:
-  case MOp::LeaFrame:
-  case MOp::Setcc:
-  case MOp::Movzx8:
-  case MOp::Pop:
-  case MOp::ImulRR:
-  case MOp::Neg:
-  case MOp::Not:
-  case MOp::ShiftRI:
-  case MOp::ShiftRC:
-    Fn(I.Dst);
-    break;
-  case MOp::AluRR:
-  case MOp::AluRI:
-    if (I.Alu != x86::AluOp::Cmp)
-      Fn(I.Dst);
-    break;
-  case MOp::Cdq:
-    Fn(Reg::EDX);
-    break;
-  case MOp::Idiv:
-    Fn(Reg::EAX);
-    Fn(Reg::EDX);
-    break;
-  case MOp::Call:
-    // cdecl caller-saved set. EAX carries the return value; ECX/EDX
-    // hold garbage, which the CallConv checker polices separately.
-    Fn(Reg::EAX);
-    Fn(Reg::ECX);
-    Fn(Reg::EDX);
-    break;
-  case MOp::Store:
-  case MOp::StoreFrame:
-  case MOp::Push:
-  case MOp::PushI:
-  case MOp::AdjustSP:
-  case MOp::TestRR:
-  case MOp::Jmp:
-  case MOp::Jcc:
-  case MOp::Ret:
-  case MOp::Nop:
-  case MOp::ProfInc:
-    break;
-  }
 }
 
 unsigned analysis::calleeArgWords(const mir::MModule &M,

@@ -59,8 +59,8 @@
 #include "verify/Diagnostic.h"
 #include "x86/X86.h"
 
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -104,7 +104,49 @@ enum class FlagEffect : uint8_t {
 /// candidate before placing it: only Neutral instructions may be
 /// inserted between a flag definition and its consumer, which is the
 /// static form of Table 1's "preserves all processor state" claim.
-FlagEffect flagEffect(const mir::MInstr &I);
+inline FlagEffect flagEffect(const mir::MInstr &I) {
+  using mir::MOp;
+  switch (I.Op) {
+  case MOp::AluRR:
+  case MOp::AluRI:
+    // CMP is the sanctioned producer; every other ALU form overwrites
+    // EFLAGS as a side effect no consumer may rely on.
+    return I.Alu == x86::AluOp::Cmp ? FlagEffect::Defines
+                                    : FlagEffect::Clobbers;
+  case MOp::TestRR:
+    return FlagEffect::Defines;
+  case MOp::ImulRR:
+  case MOp::Neg:
+  case MOp::ShiftRI:
+  case MOp::ShiftRC:
+  case MOp::Idiv:
+  case MOp::AdjustSP: // add esp, imm
+  case MOp::ProfInc:  // add dword [counter], 1
+  case MOp::Call:     // callee executes arbitrary flag-writing code
+    return FlagEffect::Clobbers;
+  case MOp::MovRR:
+  case MOp::MovRI:
+  case MOp::MovGlobal:
+  case MOp::Load:
+  case MOp::Store:
+  case MOp::LoadFrame:
+  case MOp::StoreFrame:
+  case MOp::LeaFrame:
+  case MOp::Cdq:
+  case MOp::Not: // unlike NEG, NOT preserves EFLAGS on IA-32
+  case MOp::Setcc:
+  case MOp::Movzx8:
+  case MOp::Push:
+  case MOp::PushI:
+  case MOp::Pop:
+  case MOp::Jmp:
+  case MOp::Jcc:
+  case MOp::Ret:
+  case MOp::Nop: // every Table 1 candidate preserves EFLAGS
+    return FlagEffect::Neutral;
+  }
+  return FlagEffect::Clobbers; // unknown opcode: be conservative
+}
 
 /// True when \p I is an inserted diversity NOP: an instruction the
 /// NOP-insertion pass may have added and every comparison against the
@@ -113,25 +155,156 @@ FlagEffect flagEffect(const mir::MInstr &I);
 /// normalization, so the two can never disagree about what counts as an
 /// inserted NOP. Every MOp::Nop carries a Table 1 candidate (x86/Nops.h)
 /// and is flag-transparent by construction (flagEffect == Neutral).
-bool isInsertedNop(const mir::MInstr &I);
+/// The insertion pass only ever adds MOp::Nop (one Table 1 candidate per
+/// site); no other opcode is a removable decoration.
+inline bool isInsertedNop(const mir::MInstr &I) {
+  return I.Op == mir::MOp::Nop;
+}
 
 /// Returns pointers to the instructions of \p BB that survive NOP
 /// normalization (everything isInsertedNop skips), in order.
 std::vector<const mir::MInstr *> nonNopInstrs(const mir::MBasicBlock &BB);
 
-/// Invokes \p Fn for every register \p I reads, explicit operands and
-/// implicit uses (CDQ/IDIV/Ret read EAX, ShiftRC reads CL, ...) alike.
-/// ESP/EBP uses by push/pop/frame instructions are not reported; those
-/// registers are maintained by the prologue and tracked structurally.
-void forEachReadReg(const mir::MInstr &I,
-                    const std::function<void(x86::Reg)> &Fn);
+/// The registers one instruction reads and writes: which explicit
+/// operand fields, plus the implicit registers as bitmasks (bit n =
+/// register number n). The single table behind forEachReadReg,
+/// forEachWrittenReg and the use/def masks.
+struct RegOperands {
+  bool ReadsDst = false;
+  bool ReadsSrc = false;
+  bool WritesDst = false;
+  uint8_t ImplicitReads = 0;
+  uint8_t ImplicitWrites = 0;
+};
 
-/// Invokes \p Fn for every register \p I writes. A Call reports
-/// EAX/ECX/EDX (the cdecl caller-saved set): they are *defined* after
-/// the call in the liveness sense, while the CallConv checker separately
-/// rejects reads of the clobbered ECX/EDX.
-void forEachWrittenReg(const mir::MInstr &I,
-                       const std::function<void(x86::Reg)> &Fn);
+/// Classifies \p I. ESP/EBP uses by push/pop/frame instructions are
+/// not reported; those registers are maintained by the prologue and
+/// tracked structurally. A Call writes EAX/ECX/EDX (the cdecl
+/// caller-saved set): they are *defined* after the call in the liveness
+/// sense, while the CallConv checker separately rejects reads of the
+/// clobbered ECX/EDX.
+inline RegOperands regOperands(const mir::MInstr &I) {
+  using mir::MOp;
+  constexpr uint8_t EAX = 1u << 0, ECX = 1u << 1, EDX = 1u << 2;
+  RegOperands U;
+  switch (I.Op) {
+  case MOp::MovRR:
+  case MOp::Movzx8:
+  case MOp::Load:
+    U.ReadsSrc = U.WritesDst = true;
+    break;
+  case MOp::Store:
+    U.ReadsDst = true; // address base
+    U.ReadsSrc = true; // stored value
+    break;
+  case MOp::StoreFrame:
+  case MOp::Push:
+    U.ReadsSrc = true;
+    break;
+  case MOp::AluRR:
+  case MOp::AluRI:
+    U.ReadsDst = true;
+    U.ReadsSrc = I.Op == MOp::AluRR;
+    U.WritesDst = I.Alu != x86::AluOp::Cmp;
+    break;
+  case MOp::ImulRR:
+    U.ReadsDst = U.ReadsSrc = U.WritesDst = true;
+    break;
+  case MOp::TestRR:
+    U.ReadsDst = U.ReadsSrc = true;
+    break;
+  case MOp::Neg:
+  case MOp::Not:
+  case MOp::ShiftRI:
+    U.ReadsDst = U.WritesDst = true;
+    break;
+  case MOp::ShiftRC:
+    U.ReadsDst = U.WritesDst = true;
+    U.ImplicitReads = ECX; // shift count in CL
+    break;
+  case MOp::Cdq:
+    U.ImplicitReads = EAX;
+    U.ImplicitWrites = EDX;
+    break;
+  case MOp::Idiv:
+    U.ReadsSrc = true;
+    U.ImplicitReads = EAX | EDX; // dividend EDX:EAX (set up by CDQ)
+    U.ImplicitWrites = EAX | EDX;
+    break;
+  case MOp::Ret:
+    U.ImplicitReads = EAX; // return value
+    break;
+  case MOp::Call:
+    // EAX carries the return value; ECX/EDX hold garbage.
+    U.ImplicitWrites = EAX | ECX | EDX;
+    break;
+  // Setcc writes only the 8-bit subregister; the generated code always
+  // masks through MOVZX before the value escapes, so the upper bits it
+  // technically merges with are never observed and Setcc is treated as
+  // a pure definition.
+  case MOp::Setcc:
+  case MOp::MovRI:
+  case MOp::MovGlobal:
+  case MOp::LoadFrame:
+  case MOp::LeaFrame:
+  case MOp::Pop:
+    U.WritesDst = true;
+    break;
+  case MOp::PushI:
+  case MOp::AdjustSP:
+  case MOp::Jmp:
+  case MOp::Jcc:
+  case MOp::Nop:
+  case MOp::ProfInc:
+    break;
+  }
+  return U;
+}
+
+/// Invokes \p Fn(x86::Reg) for every register \p I reads, explicit
+/// operands and implicit uses (CDQ/IDIV/Ret read EAX, ShiftRC reads CL,
+/// ...) alike: Dst, then Src, then the implicit registers in register
+/// order, once per operand (a register read twice is reported twice).
+template <typename FnT> void forEachReadReg(const mir::MInstr &I, FnT &&Fn) {
+  RegOperands U = regOperands(I);
+  if (U.ReadsDst)
+    Fn(I.Dst);
+  if (U.ReadsSrc)
+    Fn(I.Src);
+  for (unsigned M = U.ImplicitReads; M; M &= M - 1)
+    Fn(static_cast<x86::Reg>(std::countr_zero(M)));
+}
+
+/// Invokes \p Fn(x86::Reg) for every register \p I writes: Dst, then
+/// the implicit registers in register order.
+template <typename FnT>
+void forEachWrittenReg(const mir::MInstr &I, FnT &&Fn) {
+  RegOperands U = regOperands(I);
+  if (U.WritesDst)
+    Fn(I.Dst);
+  for (unsigned M = U.ImplicitWrites; M; M &= M - 1)
+    Fn(static_cast<x86::Reg>(std::countr_zero(M)));
+}
+
+/// Bitmask (bit n = register number n) of the registers \p I reads.
+inline uint8_t readRegMask(const mir::MInstr &I) {
+  RegOperands U = regOperands(I);
+  unsigned M = U.ImplicitReads;
+  if (U.ReadsDst)
+    M |= 1u << x86::regNum(I.Dst);
+  if (U.ReadsSrc)
+    M |= 1u << x86::regNum(I.Src);
+  return static_cast<uint8_t>(M);
+}
+
+/// Bitmask (bit n = register number n) of the registers \p I writes.
+inline uint8_t writtenRegMask(const mir::MInstr &I) {
+  RegOperands U = regOperands(I);
+  unsigned M = U.ImplicitWrites;
+  if (U.WritesDst)
+    M |= 1u << x86::regNum(I.Dst);
+  return static_cast<uint8_t>(M);
+}
 
 /// Number of argument words \p Target consumes from the stack.
 unsigned calleeArgWords(const mir::MModule &M, const ir::Callee &Target);

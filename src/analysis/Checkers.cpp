@@ -142,7 +142,7 @@ struct LivenessDomain {
   }
 
   void transfer(State &S, const MInstr &I, uint32_t, uint32_t) const {
-    forEachWrittenReg(I, [&](Reg W) { S |= regBit(W); });
+    S |= writtenRegMask(I);
   }
 
   bool meetInto(State &Into, const State &From) const {
@@ -169,13 +169,14 @@ void detail::checkRegLiveness(const MModule &M, uint32_t FuncIdx,
     const MBasicBlock &BB = F.Blocks[B];
     for (uint32_t K = 0; K != BB.Instrs.size(); ++K) {
       const MInstr &I = BB.Instrs[K];
-      forEachReadReg(I, [&](Reg Read) {
-        if (!(S & regBit(Read)))
-          addDiag(R, Opts, CheckerKind::RegLiveness, F, B, K,
-                  fmt("reads %s, which no definition reaches on every "
-                      "path from entry",
-                      x86::regName(Read)));
-      });
+      if (readRegMask(I) & ~S)
+        forEachReadReg(I, [&](Reg Read) {
+          if (!(S & regBit(Read)))
+            addDiag(R, Opts, CheckerKind::RegLiveness, F, B, K,
+                    fmt("reads %s, which no definition reaches on every "
+                        "path from entry",
+                        x86::regName(Read)));
+        });
       Dom.transfer(S, I, B, K);
     }
   }
@@ -313,24 +314,14 @@ void detail::checkStackBalance(const MModule &M, uint32_t FuncIdx,
   auto Fix = solveForward(F, Dom);
   const CheckerKind CK = CheckerKind::StackBalance;
 
-  // Per-block out-states, to report a conflict only at the *frontier*
-  // join (the first block where balanced paths disagree), not at every
-  // block downstream of it.
-  std::vector<StackDomain::State> Out(F.Blocks.size());
-  for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
-    Out[B] = Fix.In[B];
-    const MBasicBlock &BB = F.Blocks[B];
-    for (uint32_t K = 0; K != BB.Instrs.size(); ++K)
-      Dom.transfer(Out[B], BB.Instrs[K], B, K);
-  }
+  // Report a conflict only at the *frontier* join (the first block
+  // where balanced paths disagree), not at every block downstream of
+  // it. The transfer never sets Conflict, so a block's out-state is
+  // conflicted exactly when its in-state is.
   std::vector<bool> HasCleanPred(F.Blocks.size(), false);
-  for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
-    if (!Fix.Reached[B])
-      continue;
-    for (uint32_t Succ : F.successors(B))
-      if (!Out[B].Conflict)
-        HasCleanPred[Succ] = true;
-  }
+  for (uint32_t B = 0; B != F.Blocks.size(); ++B)
+    if (Fix.Reached[B] && !Fix.In[B].Conflict)
+      F.forEachSuccessor(B, [&](uint32_t Succ) { HasCleanPred[Succ] = true; });
 
   for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
     if (!Fix.Reached[B])
@@ -461,9 +452,7 @@ struct PoisonDomain {
   State boundary() const { return 0; }
 
   void transfer(State &S, const MInstr &I, uint32_t, uint32_t) const {
-    forEachWrittenReg(I, [&](Reg W) {
-      S &= static_cast<uint8_t>(~regBit(W));
-    });
+    S &= static_cast<uint8_t>(~writtenRegMask(I));
     if (I.Op == MOp::Call)
       S |= regBit(Reg::ECX) | regBit(Reg::EDX);
   }
@@ -493,13 +482,14 @@ void detail::checkCallConv(const MModule &M, uint32_t FuncIdx,
     const MBasicBlock &BB = F.Blocks[B];
     for (uint32_t K = 0; K != BB.Instrs.size(); ++K) {
       const MInstr &I = BB.Instrs[K];
-      forEachReadReg(I, [&](Reg Read) {
-        if (S & regBit(Read))
-          addDiag(R, Opts, CK, F, B, K,
-                  fmt("reads %s, which a preceding call clobbered "
-                      "(cdecl caller-saved), before any redefinition",
-                      x86::regName(Read)));
-      });
+      if (readRegMask(I) & S)
+        forEachReadReg(I, [&](Reg Read) {
+          if (S & regBit(Read))
+            addDiag(R, Opts, CK, F, B, K,
+                    fmt("reads %s, which a preceding call clobbered "
+                        "(cdecl caller-saved), before any redefinition",
+                        x86::regName(Read)));
+        });
       Dom.transfer(S, I, B, K);
     }
   }
@@ -511,12 +501,13 @@ void detail::checkCallConv(const MModule &M, uint32_t FuncIdx,
       const MInstr &I = BB.Instrs[K];
       // Writes to ESP/EBP happen only in the expanded prologue/epilogue
       // and via AdjustSP; anything else corrupts the frame linkage.
-      forEachWrittenReg(I, [&](Reg W) {
-        if (W == Reg::ESP || W == Reg::EBP)
-          addDiag(R, Opts, CK, F, B, K,
-                  fmt("writes %s outside the prologue/epilogue contract",
-                      x86::regName(W)));
-      });
+      if (writtenRegMask(I) & (regBit(Reg::ESP) | regBit(Reg::EBP)))
+        forEachWrittenReg(I, [&](Reg W) {
+          if (W == Reg::ESP || W == Reg::EBP)
+            addDiag(R, Opts, CK, F, B, K,
+                    fmt("writes %s outside the prologue/epilogue contract",
+                        x86::regName(W)));
+        });
       if (I.Op != MOp::Idiv)
         continue;
       // IDIV needs its EDX:EAX dividend established by a CDQ that is

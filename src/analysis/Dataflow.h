@@ -8,12 +8,12 @@
 /// \file
 /// The shared dataflow engine under every flow-sensitive checker in
 /// analysis/: a forward worklist solver over the machine-block CFG
-/// (mir::MFunction::successors). Each checker supplies a small *domain*
-/// -- an abstract state plus boundary/transfer/meet -- and receives the
-/// fixpoint state at entry to every reachable block; it then re-walks
-/// each block once, applying the transfer function instruction by
-/// instruction and emitting diagnostics where an instruction's
-/// precondition does not hold in the current state.
+/// (mir::MFunction::forEachSuccessor). Each checker supplies a small
+/// *domain* -- an abstract state plus boundary/transfer/meet -- and
+/// receives the fixpoint state at entry to every reachable block; it
+/// then re-walks each block once, applying the transfer function
+/// instruction by instruction and emitting diagnostics where an
+/// instruction's precondition does not hold in the current state.
 ///
 /// The solver propagates one out-state per block to all successors
 /// rather than per-edge states. That is exact, not merely conservative,
@@ -39,11 +39,11 @@ namespace analysis {
 
 /// Fixpoint of one forward dataflow solve: the abstract state at entry
 /// to each block. Blocks no path from the function entry reaches keep
-/// `Reached[B] == false` and a default-constructed state; checkers skip
+/// `Reached[B] == 0` and a default-constructed state; checkers skip
 /// them (block shifting deliberately creates unreachable pad blocks).
 template <typename State> struct DataflowResult {
   std::vector<State> In;
-  std::vector<bool> Reached;
+  std::vector<uint8_t> Reached; ///< 0/1; bytes, not bits, for speed.
 };
 
 /// Solves a forward dataflow problem over \p F.
@@ -66,40 +66,40 @@ DataflowResult<typename Domain::State>
 solveForward(const mir::MFunction &F, const Domain &Dom) {
   DataflowResult<typename Domain::State> R;
   R.In.assign(F.Blocks.size(), typename Domain::State());
-  R.Reached.assign(F.Blocks.size(), false);
+  R.Reached.assign(F.Blocks.size(), 0);
   if (F.Blocks.empty())
     return R;
 
   R.In[0] = Dom.boundary();
-  R.Reached[0] = true;
+  R.Reached[0] = 1;
   std::vector<uint32_t> Worklist{0};
-  std::vector<bool> OnList(F.Blocks.size(), false);
-  OnList[0] = true;
+  std::vector<uint8_t> OnList(F.Blocks.size(), 0);
+  OnList[0] = 1;
 
   while (!Worklist.empty()) {
     uint32_t B = Worklist.back();
     Worklist.pop_back();
-    OnList[B] = false;
+    OnList[B] = 0;
 
     typename Domain::State S = R.In[B];
     const mir::MBasicBlock &BB = F.Blocks[B];
     for (uint32_t K = 0; K != BB.Instrs.size(); ++K)
       Dom.transfer(S, BB.Instrs[K], B, K);
 
-    for (uint32_t Succ : F.successors(B)) {
+    F.forEachSuccessor(B, [&](uint32_t Succ) {
       bool Changed;
       if (!R.Reached[Succ]) {
         R.In[Succ] = S;
-        R.Reached[Succ] = true;
+        R.Reached[Succ] = 1;
         Changed = true;
       } else {
         Changed = Dom.meetInto(R.In[Succ], S);
       }
       if (Changed && !OnList[Succ]) {
-        OnList[Succ] = true;
+        OnList[Succ] = 1;
         Worklist.push_back(Succ);
       }
-    }
+    });
   }
   return R;
 }

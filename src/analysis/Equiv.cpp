@@ -5,11 +5,17 @@
 //
 // Implementation notes:
 //
-//  * Terms are hash-consed in a per-function arena shared by both sides
-//    of every block pair, so "same symbolic value" is pointer (index)
-//    equality. Entry symbols (RegIn, FlagsIn) mean "at entry of the
-//    block currently being compared" on both sides; comparisons never
-//    cross block pairs, so reusing them across blocks is sound.
+//  * Terms are hash-consed in an arena shared by both sides of every
+//    block pair of one function comparison, so "same symbolic value" is
+//    index equality. Entry symbols (RegIn, FlagsIn) mean "at entry of
+//    the block currently being compared" on both sides; comparisons
+//    never cross block pairs, so reusing them across blocks is sound.
+//    One flat arena (and one block state per side) serves a whole
+//    proveEquivalent call and is reset, not reallocated, per comparison.
+//
+//  * Callee-saved renamings are searched count-guided first: candidates
+//    whose per-register operand counts match the baseline's are tried
+//    before the identity-first enumeration, and may only prove.
 //
 //  * Loads carry a memory epoch -- the number of preceding writes,
 //    calls, and counter increments in the same block -- so two loads
@@ -37,11 +43,11 @@
 #include "analysis/Analysis.h"
 #include "obs/Metrics.h"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <unordered_map>
 #include <vector>
 
 using namespace pgsd;
@@ -109,50 +115,105 @@ struct Term {
   }
 };
 
-struct TermHash {
-  size_t operator()(const Term &T) const {
-    uint64_t H = static_cast<uint8_t>(T.Kind);
-    auto Mix = [&H](uint64_t V) {
-      H ^= V + 0x9E3779B97F4A7C15ull + (H << 6) + (H >> 2);
-    };
-    Mix(T.Sub);
-    Mix(static_cast<uint32_t>(T.Imm));
-    Mix(T.X);
-    Mix(T.Y);
-    return static_cast<size_t>(H);
-  }
-};
-
 /// Hash-consing arena: intern() returns a stable id; identical terms
-/// get identical ids, so symbolic equality is id equality.
+/// get identical ids, so symbolic equality is id equality. Ids are
+/// assigned sequentially from 0 in first-intern order.
+///
+/// The index is a flat open-addressing table (linear probing, load
+/// factor at most 1/2) of (generation, id) slots over the Terms vector.
+/// One arena serves every comparison of a proveEquivalent call: reset()
+/// starts a fresh term space by bumping the generation, so neither the
+/// table nor the term vector is reallocated per function or per
+/// renaming candidate. Each term space probes only the first Used
+/// slots, starting small, so a small function stays cache-resident
+/// even after a large one has grown the allocation.
 class Arena {
 public:
-  /// The floor keeps the entry symbols (8 registers + flags) internable
-  /// even under an absurdly small test-provided cap.
-  explicit Arena(uint32_t CapIn) : Cap(CapIn < 64 ? 64 : CapIn) {}
+  /// Empties the arena and caps it at \p CapIn terms. The floor keeps
+  /// the entry symbols (8 registers + flags) internable even under an
+  /// absurdly small test-provided cap.
+  void reset(uint32_t CapIn) {
+    Cap = CapIn < 64 ? 64 : CapIn;
+    Overflowed = false;
+    Terms.clear();
+    Used = MinSlots;
+    if (Slots.size() < Used)
+      Slots.resize(Used);
+    nextGeneration();
+  }
 
-  uint32_t intern(Term T) {
-    auto It = Ids.find(T);
-    if (It != Ids.end())
-      return It->second;
-    if (Terms.size() >= Cap) {
-      Overflowed = true;
-      return 0; // id 0 stays valid; the caller checks overflowed()
+  uint32_t intern(const Term &T) {
+    if (2 * (Terms.size() + 1) > Used)
+      grow();
+    const size_t Mask = Used - 1;
+    for (size_t I = hash(T) & Mask;; I = (I + 1) & Mask) {
+      Slot &S = Slots[I];
+      if (S.Gen != Gen) {
+        if (Terms.size() >= Cap) {
+          Overflowed = true;
+          return 0; // id 0 stays valid; the caller checks overflowed()
+        }
+        S.Gen = Gen;
+        S.Id = static_cast<uint32_t>(Terms.size());
+        Terms.push_back(T);
+        return S.Id;
+      }
+      if (Terms[S.Id] == T)
+        return S.Id;
     }
-    uint32_t Id = static_cast<uint32_t>(Terms.size());
-    Terms.push_back(T);
-    Ids.emplace(T, Id);
-    return Id;
   }
 
   const Term &operator[](uint32_t Id) const { return Terms[Id]; }
   bool overflowed() const { return Overflowed; }
 
 private:
-  uint32_t Cap;
+  struct Slot {
+    uint32_t Gen = 0; ///< Occupied in the current term space iff == Gen.
+    uint32_t Id = 0;
+  };
+  static constexpr size_t MinSlots = 1024;
+
+  static size_t hash(const Term &T) {
+    uint64_t W0 = static_cast<uint64_t>(T.Kind) |
+                  static_cast<uint64_t>(T.Sub) << 8 |
+                  static_cast<uint64_t>(static_cast<uint32_t>(T.Imm)) << 32;
+    uint64_t W1 = T.X | static_cast<uint64_t>(T.Y) << 32;
+    uint64_t H = (W0 ^ 0x9E3779B97F4A7C15ull) * 0xBF58476D1CE4E5B9ull;
+    H = (H ^ (H >> 31) ^ W1) * 0x94D049BB133111EBull;
+    return static_cast<size_t>(H ^ (H >> 29));
+  }
+
+  /// Invalidates every slot in O(1); clears them only on wrap-around,
+  /// where a stale slot could otherwise match again.
+  void nextGeneration() {
+    if (++Gen == 0) {
+      std::fill(Slots.begin(), Slots.end(), Slot());
+      Gen = 1;
+    }
+  }
+
+  /// Doubles the probed range and re-slots every live term under its
+  /// id, in a fresh generation.
+  void grow() {
+    Used = Used ? 2 * Used : MinSlots;
+    if (Slots.size() < Used)
+      Slots.resize(Used);
+    nextGeneration();
+    const size_t Mask = Used - 1;
+    for (uint32_t Id = 0; Id != Terms.size(); ++Id) {
+      size_t I = hash(Terms[Id]) & Mask;
+      while (Slots[I].Gen == Gen)
+        I = (I + 1) & Mask;
+      Slots[I] = {Gen, Id};
+    }
+  }
+
+  uint32_t Cap = 64;
+  uint32_t Gen = 0;
   bool Overflowed = false;
+  size_t Used = 0; ///< Probed slots: a power of two, <= Slots.size().
   std::vector<Term> Terms;
-  std::unordered_map<Term, uint32_t, TermHash> Ids;
+  std::vector<Slot> Slots;
 };
 
 const char *aluStr(x86::AluOp Op) {
@@ -274,50 +335,10 @@ struct Event {
   bool IsIntrinsic = false;
   uint32_t Func = 0;
   uint8_t Intr = 0;
-  std::vector<uint32_t> Args;
+  uint32_t ArgBegin = 0; ///< Call arguments: a slice of BlockExec::Args.
+  uint32_t NumArgs = 0;
   uint32_t SrcInstr = 0; ///< Provenance (not compared).
-
-  bool sameAs(const Event &O) const {
-    return Kind == O.Kind && A == O.A && B == O.B && C == O.C &&
-           Disp == O.Disp && IsIntrinsic == O.IsIntrinsic &&
-           Func == O.Func && Intr == O.Intr && Args == O.Args;
-  }
 };
-
-std::string eventStr(const Arena &A, const Event &E) {
-  switch (E.Kind) {
-  case Event::K::Load:
-    return format("load [%s%+d]", termStr(A, E.A, 2).c_str(), E.Disp);
-  case Event::K::Store:
-    return format("store [%s%+d] = %s", termStr(A, E.A, 2).c_str(),
-                  E.Disp, termStr(A, E.B, 2).c_str());
-  case Event::K::FrameLoad:
-    return format("load [ebp%+d]", E.Disp);
-  case Event::K::FrameStore:
-    return format("store [ebp%+d] = %s", E.Disp,
-                  termStr(A, E.B, 2).c_str());
-  case Event::K::Call: {
-    std::string Out = "call ";
-    Out += E.IsIntrinsic
-               ? ir::intrinsicName(static_cast<ir::Intrinsic>(E.Intr))
-               : format("func#%u", E.Func).c_str();
-    Out += "(";
-    for (size_t I = 0; I != E.Args.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += termStr(A, E.Args[I], 2);
-    }
-    Out += ")";
-    return Out;
-  }
-  case Event::K::Div:
-    return format("idiv %s (edx:eax = %s:%s)", termStr(A, E.A, 2).c_str(),
-                  termStr(A, E.C, 2).c_str(), termStr(A, E.B, 2).c_str());
-  case Event::K::ProfInc:
-    return format("counter#%d += 1", E.Disp);
-  }
-  return "<bad>";
-}
 
 //===----------------------------------------------------------------------===//
 // Symbolic block execution
@@ -329,6 +350,7 @@ struct BlockExec {
   uint32_t Flags = 0;
   std::vector<uint32_t> Stack; ///< Symbolic push stack (top = back).
   std::vector<Event> Events;
+  std::vector<uint32_t> Args; ///< Every Call event's arguments, in order.
 
   struct CondBr {
     uint8_t CC = 0;
@@ -361,25 +383,112 @@ struct BlockExec {
   bool BadTarget = false; ///< Branch target outside the function.
   uint32_t BadTargetInstr = 0;
   int32_t BadTargetVal = 0;
+
+  /// Empties the state for the next block, keeping every buffer's
+  /// capacity (one BlockExec per side serves a whole proof).
+  void reset() {
+    Stack.clear();
+    Events.clear();
+    Args.clear();
+    Branches.clear();
+    PoisonReads.clear();
+    ExitKind = Exit::Fallthrough;
+    JumpTarget = 0;
+    JumpInstr = 0;
+    Malformed = false;
+    MalformedInstr = 0;
+    BadTarget = false;
+    BadTargetInstr = 0;
+    BadTargetVal = 0;
+  }
 };
 
-/// Symbolically executes \p BB over \p A. \p M resolves call-target
-/// argument counts; \p NumBlocks bounds branch targets. When
-/// \p HoldsAtEntry is non-null, physical register R starts the block
-/// holding the entry symbol of register (*HoldsAtEntry)[R] -- the
-/// inverse of a callee-saved renaming, so a renamed variant's pi(r)
-/// carries baseline r's entry value through the comparison.
-BlockExec execBlock(const MModule &M, const MBasicBlock &BB,
-                    size_t NumBlocks, Arena &A,
-                    const std::array<uint8_t, x86::NumRegs>
-                        *HoldsAtEntry = nullptr) {
-  BlockExec S;
+/// Event equality across two executions (call arguments compared by
+/// content; provenance ignored).
+bool sameEvent(const BlockExec &XS, const Event &X, const BlockExec &YS,
+               const Event &Y) {
+  return X.Kind == Y.Kind && X.A == Y.A && X.B == Y.B && X.C == Y.C &&
+         X.Disp == Y.Disp && X.IsIntrinsic == Y.IsIntrinsic &&
+         X.Func == Y.Func && X.Intr == Y.Intr && X.NumArgs == Y.NumArgs &&
+         std::equal(XS.Args.begin() + X.ArgBegin,
+                    XS.Args.begin() + X.ArgBegin + X.NumArgs,
+                    YS.Args.begin() + Y.ArgBegin);
+}
+
+std::string eventStr(const Arena &A, const BlockExec &S, const Event &E) {
+  switch (E.Kind) {
+  case Event::K::Load:
+    return format("load [%s%+d]", termStr(A, E.A, 2).c_str(), E.Disp);
+  case Event::K::Store:
+    return format("store [%s%+d] = %s", termStr(A, E.A, 2).c_str(),
+                  E.Disp, termStr(A, E.B, 2).c_str());
+  case Event::K::FrameLoad:
+    return format("load [ebp%+d]", E.Disp);
+  case Event::K::FrameStore:
+    return format("store [ebp%+d] = %s", E.Disp,
+                  termStr(A, E.B, 2).c_str());
+  case Event::K::Call: {
+    std::string Out = "call ";
+    Out += E.IsIntrinsic
+               ? ir::intrinsicName(static_cast<ir::Intrinsic>(E.Intr))
+               : format("func#%u", E.Func).c_str();
+    Out += "(";
+    for (uint32_t I = 0; I != E.NumArgs; ++I) {
+      if (I)
+        Out += ", ";
+      Out += termStr(A, S.Args[E.ArgBegin + I], 2);
+    }
+    Out += ")";
+    return Out;
+  }
+  case Event::K::Div:
+    return format("idiv %s (edx:eax = %s:%s)", termStr(A, E.A, 2).c_str(),
+                  termStr(A, E.C, 2).c_str(), termStr(A, E.B, 2).c_str());
+  case Event::K::ProfInc:
+    return format("counter#%d += 1", E.Disp);
+  }
+  return "<bad>";
+}
+
+/// Working storage of one proveEquivalent call: the term arena and one
+/// block-exit state per side, reset (not reallocated) per comparison
+/// and per block.
+struct Scratch {
+  Arena Terms;
+  BlockExec Base, Var;
+  /// Ids of the entry symbols: RegIn of register r at [r], FlagsIn
+  /// last.
+  std::array<uint32_t, x86::NumRegs + 1> Entry{};
+
+  /// Starts a fresh term space capped at \p Cap terms. The entry
+  /// symbols are interned first, so they take ids 0-8 -- the ids the
+  /// first executed block would give them -- and no block re-interns
+  /// them.
+  void begin(uint32_t Cap) {
+    Terms.reset(Cap);
+    for (unsigned R = 0; R != x86::NumRegs; ++R)
+      Entry[R] =
+          Terms.intern({TK::RegIn, static_cast<uint8_t>(R), 0, 0, 0});
+    Entry[x86::NumRegs] = Terms.intern({TK::FlagsIn, 0, 0, 0, 0});
+  }
+};
+
+/// Symbolically executes \p BB over \p Work's arena into \p S (reset
+/// first). \p M resolves call-target argument counts; \p NumBlocks
+/// bounds branch targets. When \p HoldsAtEntry is non-null, physical
+/// register R starts the block holding the entry symbol of register
+/// (*HoldsAtEntry)[R] -- the inverse of a callee-saved renaming, so a
+/// renamed variant's pi(r) carries baseline r's entry value through the
+/// comparison.
+void execBlock(const MModule &M, const MBasicBlock &BB, size_t NumBlocks,
+               Scratch &Work, BlockExec &S,
+               const std::array<uint8_t, x86::NumRegs> *HoldsAtEntry =
+                   nullptr) {
+  Arena &A = Work.Terms;
+  S.reset();
   for (unsigned R = 0; R != x86::NumRegs; ++R)
-    S.Regs[R] = A.intern(
-        {TK::RegIn,
-         HoldsAtEntry ? (*HoldsAtEntry)[R] : static_cast<uint8_t>(R), 0,
-         0, 0});
-  S.Flags = A.intern({TK::FlagsIn, 0, 0, 0, 0});
+    S.Regs[R] = Work.Entry[HoldsAtEntry ? (*HoldsAtEntry)[R] : R];
+  S.Flags = Work.Entry[x86::NumRegs];
 
   uint32_t Epoch = 0;      ///< Writes + calls + counter bumps so far.
   int32_t ClobberOrd = 0;  ///< Flag clobbers so far.
@@ -447,23 +556,23 @@ BlockExec execBlock(const MModule &M, const MBasicBlock &BB,
     case MOp::Load: {
       uint32_t Base = Reg_(I.Src);
       S.Events.push_back(
-          {Event::K::Load, Base, 0, 0, I.Imm, false, 0, 0, {}, K});
+          {Event::K::Load, Base, 0, 0, I.Imm, false, 0, 0, 0, 0, K});
       Reg_(I.Dst) = A.intern({TK::Load, 0, I.Imm, Base, Epoch});
       break;
     }
     case MOp::Store:
       S.Events.push_back({Event::K::Store, Reg_(I.Dst), Reg_(I.Src), 0,
-                          I.Imm, false, 0, 0, {}, K});
+                          I.Imm, false, 0, 0, 0, 0, K});
       ++Epoch;
       break;
     case MOp::LoadFrame:
       S.Events.push_back(
-          {Event::K::FrameLoad, 0, 0, 0, I.Imm, false, 0, 0, {}, K});
+          {Event::K::FrameLoad, 0, 0, 0, I.Imm, false, 0, 0, 0, 0, K});
       Reg_(I.Dst) = A.intern({TK::FrameLoad, 0, I.Imm, 0, Epoch});
       break;
     case MOp::StoreFrame:
       S.Events.push_back({Event::K::FrameStore, 0, Reg_(I.Src), 0, I.Imm,
-                          false, 0, 0, {}, K});
+                          false, 0, 0, 0, 0, K});
       ++Epoch;
       break;
     case MOp::LeaFrame:
@@ -493,7 +602,7 @@ BlockExec execBlock(const MModule &M, const MBasicBlock &BB,
     case MOp::Idiv: {
       int32_t Ev = static_cast<int32_t>(S.Events.size());
       S.Events.push_back({Event::K::Div, Reg_(I.Src), Reg_(Reg::EAX),
-                          Reg_(Reg::EDX), 0, false, 0, 0, {}, K});
+                          Reg_(Reg::EDX), 0, false, 0, 0, 0, 0, K});
       Reg_(Reg::EAX) = A.intern({TK::DivQuot, 0, Ev, 0, 0});
       Reg_(Reg::EDX) = A.intern({TK::DivRem, 0, Ev, 0, 0});
       Clobber();
@@ -557,12 +666,14 @@ BlockExec execBlock(const MModule &M, const MBasicBlock &BB,
       // cdecl: arguments sit on the stack, first argument on top; the
       // caller cleans up afterwards, so the stack is read, not popped.
       unsigned Words = calleeArgWords(M, I.Target);
+      E.ArgBegin = static_cast<uint32_t>(S.Args.size());
+      E.NumArgs = Words;
       for (unsigned W = 0; W != Words; ++W)
-        E.Args.push_back(W < S.Stack.size()
+        S.Args.push_back(W < S.Stack.size()
                              ? S.Stack[S.Stack.size() - 1 - W]
                              : Hole());
       int32_t Ev = static_cast<int32_t>(S.Events.size());
-      S.Events.push_back(std::move(E));
+      S.Events.push_back(E);
       ++Epoch; // the callee may write any memory
       Reg_(Reg::EAX) = A.intern({TK::CallVal, 0, Ev, 0, 0});
       Reg_(Reg::ECX) = A.intern({TK::CallVal, 1, Ev, 0, 0});
@@ -587,7 +698,7 @@ BlockExec execBlock(const MModule &M, const MBasicBlock &BB,
       break;
     case MOp::ProfInc:
       S.Events.push_back(
-          {Event::K::ProfInc, 0, 0, 0, I.Imm, false, 0, 0, {}, K});
+          {Event::K::ProfInc, 0, 0, 0, I.Imm, false, 0, 0, 0, 0, K});
       ++Epoch;
       Clobber();
       break;
@@ -595,7 +706,6 @@ BlockExec execBlock(const MModule &M, const MBasicBlock &BB,
       break; // unreachable: isInsertedNop skipped it
     }
   }
-  return S;
 }
 
 //===----------------------------------------------------------------------===//
@@ -611,9 +721,11 @@ enum class Verdict : uint8_t { Proved, Refuted, Aborted };
 /// 2. Structural recognition alone would trust the pad; this executes
 /// it.
 bool provenShiftPrelude(const MModule &VM, const MFunction &VF,
-                        Arena &A) {
+                        Scratch &Work) {
+  const Arena &A = Work.Terms;
+  BlockExec &E = Work.Var;
   for (uint32_t B = 0; B != 2; ++B) {
-    BlockExec E = execBlock(VM, VF.Blocks[B], VF.Blocks.size(), A);
+    execBlock(VM, VF.Blocks[B], VF.Blocks.size(), Work, E);
     if (E.Malformed || E.BadTarget || !E.Events.empty() ||
         !E.Branches.empty() || !E.Stack.empty())
       return false;
@@ -628,12 +740,13 @@ bool provenShiftPrelude(const MModule &VM, const MFunction &VF,
   return true;
 }
 
-/// Module-level preconditions computed lazily and shared by every
-/// function comparison of one proveEquivalent call.
+/// Module-level preconditions computed lazily, and the working storage,
+/// shared by every function comparison of one proveEquivalent call.
 struct ModuleContext {
   const MModule &BM;
   const MModule &VM;
   int LivenessOk = -1; ///< -1 unknown, else 0/1.
+  Scratch Work{};
 
   /// Non-identity callee-saved renamings are only sound when neither
   /// module reads EBX/ESI/EDI before defining them (RegLiveness): the
@@ -659,7 +772,7 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
                       const MModule &VM, const MFunction &VF,
                       const EquivOptions &Opts, uint32_t Shift,
                       const std::array<uint8_t, x86::NumRegs> &Pi,
-                      verify::Report &R) {
+                      Scratch &Work, verify::Report &R) {
   using verify::ErrorCode;
   auto Refute = [&](std::string Context) {
     R.add(ErrorCode::EquivRefuted, std::move(Context));
@@ -672,13 +785,15 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
   for (unsigned Rn = 0; Rn != x86::NumRegs; ++Rn)
     InvPi[Pi[Rn]] = static_cast<uint8_t>(Rn);
 
-  Arena A(Opts.MaxTermsPerFunction);
+  Arena &A = Work.Terms;
+  BlockExec &EB = Work.Base;
+  BlockExec &EV = Work.Var;
+  Work.begin(Opts.MaxTermsPerFunction);
 
   for (uint32_t BI = 0; BI != BF.Blocks.size(); ++BI) {
     uint32_t VI = BI + Shift;
-    BlockExec EB = execBlock(BM, BF.Blocks[BI], BF.Blocks.size(), A);
-    BlockExec EV =
-        execBlock(VM, VF.Blocks[VI], VF.Blocks.size(), A, &InvPi);
+    execBlock(BM, BF.Blocks[BI], BF.Blocks.size(), Work, EB);
+    execBlock(VM, VF.Blocks[VI], VF.Blocks.size(), Work, EV, &InvPi);
     if (A.overflowed()) {
       R.add(ErrorCode::EquivAborted,
             format("%s: mbb%u: term budget exhausted; no verdict",
@@ -703,11 +818,13 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
                            "(function has %zu blocks)",
                            EV.BadTargetVal, VF.Blocks.size()));
 
-    // Location prefix for block-level (no single instruction) findings.
-    std::string BlockLoc =
-        Shift ? format("%s: mbb%u (baseline mbb%u)", BF.Name.c_str(), VI,
-                       BI)
-              : format("%s: mbb%u", BF.Name.c_str(), VI);
+    // Location prefix for block-level (no single instruction) findings,
+    // rendered only when refuting.
+    auto BlockLoc = [&]() {
+      return Shift ? format("%s: mbb%u (baseline mbb%u)", BF.Name.c_str(),
+                            VI, BI)
+                   : format("%s: mbb%u", BF.Name.c_str(), VI);
+    };
 
     // 1. The effect traces, position by position; the first mismatch is
     // the counterexample. One relaxation for schedule randomization:
@@ -721,7 +838,7 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
       return Ev.Kind == Event::K::Load || Ev.Kind == Event::K::FrameLoad;
     };
     for (size_t E = 0; E != Common;) {
-      if (EB.Events[E].sameAs(EV.Events[E])) {
+      if (sameEvent(EB, EB.Events[E], EV, EV.Events[E])) {
         ++E;
         continue;
       }
@@ -736,7 +853,8 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
         for (size_t V = E; V != RV && RunsMatch; ++V) {
           RunsMatch = false;
           for (size_t B = E; B != RB; ++B)
-            if (!Used[B - E] && EV.Events[V].sameAs(EB.Events[B])) {
+            if (!Used[B - E] &&
+                sameEvent(EV, EV.Events[V], EB, EB.Events[B])) {
               Used[B - E] = true;
               RunsMatch = true;
               break;
@@ -750,21 +868,21 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
       return Refute(
           instrLocation(VF, VI, EV.Events[E].SrcInstr) +
           format(": effect #%zu differs from baseline: ", E) +
-          eventStr(A, EV.Events[E]) + " vs " +
-          eventStr(A, EB.Events[E]));
+          eventStr(A, EV, EV.Events[E]) + " vs " +
+          eventStr(A, EB, EB.Events[E]));
     }
     if (EV.Events.size() > EB.Events.size()) {
       const Event &E = EV.Events[Common];
       return Refute(instrLocation(VF, VI, E.SrcInstr) +
                     format(": extra effect #%zu not in baseline: ",
                            Common) +
-                    eventStr(A, E));
+                    eventStr(A, EV, E));
     }
     if (EB.Events.size() > EV.Events.size()) {
       const Event &E = EB.Events[Common];
-      return Refute(BlockLoc +
+      return Refute(BlockLoc() +
                     format(": baseline effect #%zu missing: ", Common) +
-                    eventStr(A, E) + " ('" +
+                    eventStr(A, EB, E) + " ('" +
                     mir::printInstr(BF.Blocks[BI].Instrs[E.SrcInstr]) +
                     "' at baseline mbb" + format("%u #%u", BI,
                                                  E.SrcInstr) +
@@ -785,7 +903,7 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
                    "call-clobbered value; no matching read in baseline",
                    x86::regName(static_cast<Reg>(Pr.RegNum))));
       }
-      return Refute(BlockLoc +
+      return Refute(BlockLoc() +
                     ": call-clobbered register dependences differ from "
                     "baseline");
     }
@@ -793,24 +911,24 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
     // 3. Conditional branches: same count, same condition code, same
     // symbolic flags term, and targets equal modulo the layout shift.
     if (EB.Branches.size() != EV.Branches.size())
-      return Refute(BlockLoc +
+      return Refute(BlockLoc() +
                     format(": %zu conditional branches vs baseline's %zu",
                            EV.Branches.size(), EB.Branches.size()));
     for (size_t J = 0; J != EB.Branches.size(); ++J) {
       const BlockExec::CondBr &BBr = EB.Branches[J];
       const BlockExec::CondBr &VBr = EV.Branches[J];
-      std::string Loc = instrLocation(VF, VI, VBr.SrcInstr);
+      auto Loc = [&]() { return instrLocation(VF, VI, VBr.SrcInstr); };
       if (BBr.CC != VBr.CC)
-        return Refute(Loc + format(": condition code differs from "
+        return Refute(Loc() + format(": condition code differs from "
                                    "baseline 'j%s'",
                                    x86::condName(static_cast<x86::CondCode>(
                                        BBr.CC))));
       if (BBr.Cond != VBr.Cond)
-        return Refute(Loc + ": branch condition differs from baseline: " +
+        return Refute(Loc() + ": branch condition differs from baseline: " +
                       termStr(A, VBr.Cond) + " vs " +
                       termStr(A, BBr.Cond));
       if (VBr.Target - static_cast<int32_t>(Shift) != BBr.Target)
-        return Refute(Loc +
+        return Refute(Loc() +
                       format(": branch target mbb%d does not map to "
                              "baseline target mbb%d under layout shift "
                              "%u",
@@ -830,7 +948,7 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
         }
         return "<bad>";
       };
-      return Refute(BlockLoc +
+      return Refute(BlockLoc() +
                     format(": block exit differs from baseline (%s vs "
                            "%s)",
                            Name(EV.ExitKind), Name(EB.ExitKind)));
@@ -848,7 +966,7 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
     // baseline Rn's role.
     for (unsigned Rn = 0; Rn != x86::NumRegs; ++Rn)
       if (EB.Regs[Rn] != EV.Regs[Pi[Rn]])
-        return Refute(BlockLoc +
+        return Refute(BlockLoc() +
                       format(": register %s exits the block as ",
                              x86::regName(static_cast<Reg>(Rn))) +
                       termStr(A, EV.Regs[Pi[Rn]]) + "; baseline has " +
@@ -856,14 +974,14 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
 
     // 6. Exit stack: depth and contents.
     if (EB.Stack != EV.Stack)
-      return Refute(BlockLoc +
+      return Refute(BlockLoc() +
                     format(": block exits with %zu words pushed; "
                            "baseline has %zu",
                            EV.Stack.size(), EB.Stack.size()));
 
     // 7. Exit flags term (EFLAGS may be consumed by a later block).
     if (EB.Flags != EV.Flags)
-      return Refute(BlockLoc +
+      return Refute(BlockLoc() +
                     ": EFLAGS exit state differs from baseline: " +
                     termStr(A, EV.Flags) + " vs " +
                     termStr(A, EB.Flags));
@@ -907,8 +1025,8 @@ Verdict compareFunction(const MModule &BM, const MFunction &BF,
   // any callee-saved renaming.
   uint32_t Shift = 0;
   if (VF.Blocks.size() == BF.Blocks.size() + 2) {
-    Arena PreA(Opts.MaxTermsPerFunction);
-    if (provenShiftPrelude(VM, VF, PreA))
+    Ctx.Work.begin(Opts.MaxTermsPerFunction);
+    if (provenShiftPrelude(VM, VF, Ctx.Work))
       Shift = 2;
   }
   if (Shift == 0 && VF.Blocks.size() != BF.Blocks.size())
@@ -931,6 +1049,19 @@ Verdict compareFunction(const MModule &BM, const MFunction &BF,
   auto UsedIn = [](const MFunction &F, uint8_t Rn) {
     return Rn == 3 ? F.UsesEbx : (Rn == 6 ? F.UsesEsi : F.UsesEdi);
   };
+  // Per-register operand counts (Dst and Src fields) over the
+  // instructions NOP normalization keeps. A renaming maps them exactly:
+  // variant pi(r) appears as often as baseline r.
+  auto OperandCounts = [](const MFunction &F) {
+    std::array<uint32_t, x86::NumRegs> N{};
+    for (const MBasicBlock &BB : F.Blocks)
+      for (const MInstr &I : BB.Instrs)
+        if (!isInsertedNop(I)) {
+          ++N[x86::regNum(I.Dst)];
+          ++N[x86::regNum(I.Src)];
+        }
+    return N;
+  };
   // A function pair that never touches a callee-saved register
   // compares identically under every renaming; only identity is worth
   // trying (and the liveness precondition need not be computed).
@@ -945,37 +1076,72 @@ Verdict compareFunction(const MModule &BM, const MFunction &BF,
   };
   bool OnlyIdentity = !TouchesSaved(BF) && !TouchesSaved(VF);
 
-  bool HaveFirst = false;
-  verify::Report First;
-  for (const auto &P : Perms) {
-    bool Identity = P[0] == 3 && P[1] == 6 && P[2] == 7;
-    bool MetaOk = true;
+  auto Eligible = [&](const uint8_t(&P)[3]) {
     for (unsigned J = 0; J != 3; ++J)
-      MetaOk = MetaOk && UsedIn(VF, P[J]) == UsedIn(BF, Saved[J]);
-    if (!MetaOk)
-      continue;
-    if (!Identity && (OnlyIdentity || !Ctx.livenessOk()))
-      continue;
-    std::array<uint8_t, x86::NumRegs> Pi;
-    for (unsigned Rn = 0; Rn != x86::NumRegs; ++Rn)
-      Pi[Rn] = static_cast<uint8_t>(Rn);
-    Pi[3] = P[0];
-    Pi[6] = P[1];
-    Pi[7] = P[2];
+      if (UsedIn(VF, P[J]) != UsedIn(BF, Saved[J]))
+        return false;
+    bool Identity = P[0] == 3 && P[1] == 6 && P[2] == 7;
+    return Identity || (!OnlyIdentity && Ctx.livenessOk());
+  };
+  // Each candidate is compared at most once; the enumeration below
+  // reuses what the fast path already computed.
+  struct Outcome {
+    bool Done = false;
+    Verdict V = Verdict::Proved;
     verify::Report Sub;
-    Verdict V = compareBlocks(BM, BF, VM, VF, Opts, Shift, Pi, Sub);
-    if (V == Verdict::Proved)
+  };
+  std::array<Outcome, 6> Outcomes;
+  auto Compare = [&](size_t K) -> Outcome & {
+    Outcome &O = Outcomes[K];
+    if (!O.Done) {
+      std::array<uint8_t, x86::NumRegs> Pi;
+      for (unsigned Rn = 0; Rn != x86::NumRegs; ++Rn)
+        Pi[Rn] = static_cast<uint8_t>(Rn);
+      Pi[3] = Perms[K][0];
+      Pi[6] = Perms[K][1];
+      Pi[7] = Perms[K][2];
+      O.V = compareBlocks(BM, BF, VM, VF, Opts, Shift, Pi, Ctx.Work, O.Sub);
+      O.Done = true;
+    }
+    return O;
+  };
+
+  // Fast path: the candidates whose operand counts match -- usually
+  // exactly the renaming the transform applied -- in Perms order. It
+  // may only conclude Proved, which is sound under any eligible
+  // candidate; every other outcome falls through to the enumeration,
+  // the only path that refutes or aborts, so every refutation keeps
+  // the counterexample it always had. (The one verdict it can change:
+  // an earlier candidate that would exhaust the term budget before
+  // this one proves. The enumeration alone gives Aborted there, a
+  // non-verdict; this gives the proof.)
+  const std::array<uint32_t, x86::NumRegs> CB = OperandCounts(BF);
+  const std::array<uint32_t, x86::NumRegs> CV = OperandCounts(VF);
+  for (size_t K = 0; K != 6; ++K) {
+    const uint8_t(&P)[3] = Perms[K];
+    if (CV[P[0]] != CB[3] || CV[P[1]] != CB[6] || CV[P[2]] != CB[7] ||
+        !Eligible(P))
+      continue;
+    if (Compare(K).V == Verdict::Proved)
       return Verdict::Proved;
-    if (V == Verdict::Aborted) {
-      R.merge(Sub);
+  }
+
+  // Identity-first enumeration of every eligible candidate.
+  const verify::Report *First = nullptr;
+  for (size_t K = 0; K != 6; ++K) {
+    if (!Eligible(Perms[K]))
+      continue;
+    Outcome &O = Compare(K);
+    if (O.V == Verdict::Proved)
+      return Verdict::Proved;
+    if (O.V == Verdict::Aborted) {
+      R.merge(O.Sub);
       return Verdict::Aborted;
     }
-    if (!HaveFirst) {
-      First = std::move(Sub);
-      HaveFirst = true;
-    }
+    if (!First)
+      First = &O.Sub;
   }
-  if (!HaveFirst)
+  if (!First)
     // No renaming is compatible with the two save sets (or the sound
     // ones were filtered); the metadata itself is the counterexample.
     return Refute(format("%s: callee-saved register set differs from "
@@ -985,7 +1151,7 @@ Verdict compareFunction(const MModule &BM, const MFunction &BF,
   // Every compatible renaming refuted; surface the first candidate's
   // counterexample (identity when the save sets match), keeping the
   // choice deterministic.
-  R.merge(First);
+  R.merge(*First);
   return Verdict::Refuted;
 }
 

@@ -113,6 +113,21 @@ void noteScan(bool Incremental, size_t ImageSize, uint64_t Decoded) {
                 static_cast<double>(Incr) / static_cast<double>(Incr + Full));
 }
 
+/// Re-sets the gauge from the tallies after per-worker sinks are merged:
+/// each sink holds the fraction as of its own last scan, and the one
+/// merged last would otherwise win even when other workers scanned
+/// later.
+void publishScanFraction() {
+  if (!obs::enabled())
+    return;
+  uint64_t Incr = TotalIncrementalScans.load(std::memory_order_relaxed);
+  uint64_t Full = TotalFullScans.load(std::memory_order_relaxed);
+  if (Incr + Full != 0)
+    obs::gaugeSet("gadget.incremental_fraction",
+                  static_cast<double>(Incr) /
+                      static_cast<double>(Incr + Full));
+}
+
 /// Moves a table's clean-suffix entries [OldSize - SuffixBytes, OldSize)
 /// to [FactHi, NewSize) and resizes to NewSize; entries below FactHi
 /// other than the moved tail are left untouched for recomputation.
@@ -569,6 +584,7 @@ gadget::survivingGadgetsMulti(const std::vector<uint8_t> &Original,
   Pool.wait();
   for (const obs::LocalMetrics &Sink : Sinks)
     obs::Registry::global().merge(Sink);
+  publishScanFraction();
   return Out;
 }
 
@@ -621,6 +637,7 @@ gadget::gadgetsInAtLeast(const std::vector<std::vector<uint8_t>> &Versions,
   Pool.wait();
   for (const obs::LocalMetrics &Sink : Sinks)
     obs::Registry::global().merge(Sink);
+  publishScanFraction();
   Occurrences = std::move(Maps[0]);
   for (unsigned W = 1; W != Jobs; ++W)
     for (const auto &E : Maps[W])

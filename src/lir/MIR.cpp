@@ -88,20 +88,7 @@ bool mir::isMTerminator(MOp Op) {
 std::vector<uint32_t> MFunction::successors(uint32_t B) const {
   assert(B < Blocks.size() && "block out of range");
   std::vector<uint32_t> Succs;
-  const MBasicBlock &BB = Blocks[B];
-  bool SeenJmpOrRet = false;
-  for (const MInstr &I : BB.Instrs) {
-    if (I.Op == MOp::Jcc)
-      Succs.push_back(static_cast<uint32_t>(I.Imm));
-    else if (I.Op == MOp::Jmp) {
-      Succs.push_back(static_cast<uint32_t>(I.Imm));
-      SeenJmpOrRet = true;
-    } else if (I.Op == MOp::Ret) {
-      SeenJmpOrRet = true;
-    }
-  }
-  if (!SeenJmpOrRet && B + 1 < Blocks.size())
-    Succs.push_back(B + 1); // fallthrough
+  forEachSuccessor(B, [&Succs](uint32_t S) { Succs.push_back(S); });
   return Succs;
 }
 

@@ -119,6 +119,21 @@ struct MFunction {
   /// Successor block ids of block \p B, in branch order; the fallthrough
   /// successor (when the block does not end in Jmp/Ret) comes last.
   std::vector<uint32_t> successors(uint32_t B) const;
+
+  /// Invokes \p Fn(Succ) for every successor of block \p B, in the
+  /// order successors() returns them, without allocating (the dataflow
+  /// worklists call this on every visit).
+  template <typename FnT> void forEachSuccessor(uint32_t B, FnT &&Fn) const {
+    const MBasicBlock &BB = Blocks[B];
+    bool SeenJmpOrRet = false;
+    for (const MInstr &I : BB.Instrs) {
+      if (I.Op == MOp::Jcc || I.Op == MOp::Jmp)
+        Fn(static_cast<uint32_t>(I.Imm));
+      SeenJmpOrRet = SeenJmpOrRet || I.Op == MOp::Jmp || I.Op == MOp::Ret;
+    }
+    if (!SeenJmpOrRet && B + 1 < Blocks.size())
+      Fn(B + 1); // fallthrough
+  }
 };
 
 /// A machine module: functions plus the global memory image layout.

@@ -53,18 +53,23 @@ ServeResult serve::serveVariants(const driver::Program &P,
   verify::VerifyOptions Verify = O.Verify;
   Verify.Cache = &Cache;
   size_t StoredBaselineRuns = 0; ///< Entries in the loaded artifact.
+  StoreKey BaselineKey;
 
   {
     obs::Span S(Obs ? "serve.setup" : nullptr);
     if (!Store.open(&R.Error))
       return R; // Unwritable store: fail loudly at startup, not later.
 
+    // The artifact holds runs by battery index: key it by the battery
+    // and step bound of the runs it restores into.
+    BaselineKey = makeBaselineKey(P.MIR, O.Link, Cache.battery(),
+                                  Cache.runs()->maxSteps());
+
     // Restore baseline differential runs persisted by a previous
     // process: verification fills after a restart then skip baseline
     // execution entirely. A corrupt artifact self-heals to a miss.
     BaselineArtifact Art;
-    if (Store.loadBaseline(makeBaselineKey(P.MIR, O.Link), Art) ==
-        LoadStatus::Hit) {
+    if (Store.loadBaseline(BaselineKey, Art) == LoadStatus::Hit) {
       for (const auto &[Index, Run] : Art.Runs)
         if (Index < Cache.battery().size())
           Cache.prewarm(Index, Run);
@@ -204,8 +209,7 @@ ServeResult serve::serveVariants(const driver::Program &P,
     R.BaselinePrewarmed = Cache.prewarmed();
     if (Art.Runs.size() > StoredBaselineRuns) {
       std::string PubErr;
-      if (!Store.publishBaseline(makeBaselineKey(P.MIR, O.Link), Art,
-                                 &PubErr) &&
+      if (!Store.publishBaseline(BaselineKey, Art, &PubErr) &&
           R.Error.empty())
         R.Error = PubErr;
     }

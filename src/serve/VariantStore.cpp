@@ -7,6 +7,8 @@
 
 #include "serve/VariantStore.h"
 
+#include "verify/Verifier.h"
+
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -266,12 +268,32 @@ StoreKey serve::makeVariantKey(const std::string &BaseMaterial,
   return keyOf(M);
 }
 
-StoreKey serve::makeBaselineKey(const mir::MModule &Baseline,
-                                const codegen::LinkOptions &Link) {
+StoreKey
+serve::makeBaselineKey(const mir::MModule &Baseline,
+                       const codegen::LinkOptions &Link,
+                       const std::vector<std::vector<int32_t>> &Battery,
+                       uint64_t MaxSteps) {
   std::string M;
   appendBaseMaterial(M, Baseline, Link);
   M += "baseline";
+  M += '\0';
+  M += std::to_string(MaxSteps);
+  for (const std::vector<int32_t> &Input : Battery) {
+    // Length-prefixed, so {{1, 2}} and {{1}, {2}} key apart.
+    M += '\0';
+    M += std::to_string(Input.size());
+    for (int32_t V : Input) {
+      M += ':';
+      M += std::to_string(V);
+    }
+  }
   return keyOf(M);
+}
+
+StoreKey serve::makeBaselineKey(const mir::MModule &Baseline,
+                                const codegen::LinkOptions &Link) {
+  return makeBaselineKey(Baseline, Link, verify::defaultInputBattery(),
+                         verify::VerifyOptions().MaxSteps);
 }
 
 //===----------------------------------------------------------------------===//

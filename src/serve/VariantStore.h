@@ -94,8 +94,18 @@ StoreKey makeVariantKey(const std::string &BaseMaterial,
                         const diversity::DiversityOptions &D, uint64_t Seed);
 
 /// Content address of the baseline artifact (per-input baseline runs)
-/// for (\p Baseline, \p Link): the variant key material minus the
-/// per-request fields.
+/// for (\p Baseline, \p Link) under the resolved input battery
+/// \p Battery and step bound \p MaxSteps: the variant key material
+/// minus the per-request fields, plus everything the runs depend on.
+/// The artifact stores runs by battery index, so a restart with another
+/// battery or step bound must read an artifact of its own.
+StoreKey makeBaselineKey(const mir::MModule &Baseline,
+                         const codegen::LinkOptions &Link,
+                         const std::vector<std::vector<int32_t>> &Battery,
+                         uint64_t MaxSteps);
+
+/// makeBaselineKey under the default verification options:
+/// verify::defaultInputBattery() and VerifyOptions().MaxSteps.
 StoreKey makeBaselineKey(const mir::MModule &Baseline,
                          const codegen::LinkOptions &Link);
 

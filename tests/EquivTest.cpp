@@ -261,6 +261,158 @@ TEST(EquivUnit, StatsPartitionAttempts) {
             P.MIR.Functions.size());
 }
 
+//===----------------------------------------------------------------------===//
+// 4. Callee-saved renaming search
+//===----------------------------------------------------------------------===//
+
+MInstr movRI(Reg Dst, int32_t Imm) {
+  MInstr I;
+  I.Op = MOp::MovRI;
+  I.Dst = Dst;
+  I.Imm = Imm;
+  return I;
+}
+
+MInstr movRR(Reg Dst, Reg Src) {
+  MInstr I;
+  I.Op = MOp::MovRR;
+  I.Dst = Dst;
+  I.Src = Src;
+  return I;
+}
+
+MInstr addRR(Reg Dst, Reg Src) {
+  MInstr I;
+  I.Op = MOp::AluRR;
+  I.Alu = x86::AluOp::Add;
+  I.Dst = Dst;
+  I.Src = Src;
+  return I;
+}
+
+MInstr ret() {
+  MInstr I;
+  I.Op = MOp::Ret;
+  return I;
+}
+
+/// A one-function, one-block module running \p Body, with the
+/// callee-saved save set taken from the registers the body names.
+MModule oneBlockModule(std::vector<MInstr> Body) {
+  mir::MFunction F;
+  F.Name = "main";
+  for (const MInstr &I : Body)
+    for (Reg R : {I.Dst, I.Src}) {
+      F.UsesEbx = F.UsesEbx || R == Reg::EBX;
+      F.UsesEsi = F.UsesEsi || R == Reg::ESI;
+      F.UsesEdi = F.UsesEdi || R == Reg::EDI;
+    }
+  mir::MBasicBlock BB;
+  BB.Name = "entry";
+  BB.Instrs = std::move(Body);
+  F.Blocks.push_back(std::move(BB));
+  MModule M;
+  M.Name = "renaming";
+  M.Functions.push_back(std::move(F));
+  M.EntryFunction = 0;
+  return M;
+}
+
+/// Swaps EBX and ESI in every operand of \p M, as register shuffling
+/// does for the permutation (ebx esi): the save set follows.
+MModule swapEbxEsi(MModule M) {
+  auto Swap = [](Reg R) {
+    return R == Reg::EBX ? Reg::ESI : (R == Reg::ESI ? Reg::EBX : R);
+  };
+  for (mir::MFunction &F : M.Functions) {
+    for (mir::MBasicBlock &BB : F.Blocks)
+      for (MInstr &I : BB.Instrs) {
+        I.Dst = Swap(I.Dst);
+        I.Src = Swap(I.Src);
+      }
+    std::swap(F.UsesEbx, F.UsesEsi);
+  }
+  return M;
+}
+
+TEST(EquivRenaming, EqualOperandCountsStillProve) {
+  // EBX and ESI each appear three times, so both identity and the swap
+  // match the baseline's operand counts. Identity refutes; the swap
+  // that register shuffling applied must still be found and proved.
+  MModule Base = oneBlockModule({movRI(Reg::EBX, 1), movRI(Reg::ESI, 2),
+                                 addRR(Reg::EBX, Reg::ESI),
+                                 movRR(Reg::ECX, Reg::ESI),
+                                 movRR(Reg::EAX, Reg::EBX), ret()});
+  ASSERT_TRUE(analysis::analyzeModule(Base).ok());
+  MModule Var = swapEbxEsi(Base);
+  EquivStats S;
+  verify::Report R = proveEquivalent(Base, Var, EquivOptions(), &S);
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_EQ(S.FunctionsProved, 1u);
+}
+
+TEST(EquivRenaming, RefutationReportsTheIdentityCounterexample) {
+  // EBX appears twice and ESI three times, so only the swap matches the
+  // operand counts and is tried first. With a perturbed constant every
+  // candidate refutes, each with its own counterexample; the reported
+  // one is still the identity candidate's, as the identity-first
+  // enumeration gives.
+  MModule Base = oneBlockModule({movRI(Reg::EBX, 1), movRI(Reg::ESI, 2),
+                                 addRR(Reg::EBX, Reg::ESI),
+                                 movRR(Reg::EAX, Reg::ESI), ret()});
+  MModule Var = swapEbxEsi(Base);
+  EXPECT_TRUE(proveEquivalent(Base, Var).ok());
+  Var.Functions[0].Blocks[0].Instrs[0].Imm = 5; // mov esi, 1 -> 5
+  verify::Report R = proveEquivalent(Base, Var);
+  ASSERT_EQ(R.Diags.size(), 1u) << R.str();
+  EXPECT_EQ(R.Diags[0].Code, ErrorCode::EquivRefuted);
+  EXPECT_EQ(R.Diags[0].Context,
+            "main: mbb0: register ebx exits the block as 2; baseline has "
+            "add(1, 2)");
+}
+
+TEST(EquivRenaming, EntryValueReadRefutes) {
+  // The baseline returns EBX's entry value; the variant returns ESI's.
+  // The caller loaded different values into them, so the renaming is
+  // unsound: the liveness precondition rules it out even though its
+  // operand counts match, and the save sets differ under identity.
+  MModule Base = oneBlockModule({movRR(Reg::EAX, Reg::EBX), ret()});
+  MModule Var = swapEbxEsi(Base);
+  EquivStats S;
+  verify::Report R = proveEquivalent(Base, Var, EquivOptions(), &S);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(S.FunctionsRefuted, 1u);
+  ASSERT_EQ(R.Diags.size(), 1u);
+  EXPECT_EQ(R.Diags[0].Context,
+            "main: callee-saved register set differs from baseline");
+}
+
+TEST(EquivRenaming, TinyTermBudgetAborts) {
+  // A renamed function building more terms than a tiny budget allows
+  // (the arena's floor is 64): every candidate, the fast path's
+  // included, runs out of terms, so the verdict is EquivAborted --
+  // never Proved or Refuted. The default budget proves it.
+  std::vector<MInstr> Body;
+  for (int32_t K = 1; K <= 80; ++K)
+    Body.push_back(movRI(Reg::EBX, K));
+  for (const MInstr &I : {movRI(Reg::ESI, 0), addRR(Reg::EBX, Reg::ESI),
+                          movRR(Reg::EAX, Reg::EBX), ret()})
+    Body.push_back(I);
+  MModule Base = oneBlockModule(std::move(Body));
+  MModule Var = swapEbxEsi(Base);
+  ASSERT_TRUE(proveEquivalent(Base, Var).ok());
+
+  EquivOptions Tiny;
+  Tiny.MaxTermsPerFunction = 1;
+  EquivStats S;
+  verify::Report R = proveEquivalent(Base, Var, Tiny, &S);
+  ASSERT_EQ(R.Diags.size(), 1u) << R.str();
+  EXPECT_EQ(R.Diags[0].Code, ErrorCode::EquivAborted);
+  EXPECT_EQ(R.Diags[0].Context,
+            "main: mbb0: term budget exhausted; no verdict");
+  EXPECT_EQ(S.FunctionsAborted, 1u);
+}
+
 TEST(EquivDriver, NonEquivalentVariantRejectedBeforeExecution) {
   // The seam mutates an immediate on every attempt: analyzeModule
   // accepts each mutant, translation validation refutes it, and the

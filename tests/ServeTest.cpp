@@ -392,6 +392,65 @@ TEST_F(ServeTest, StoredBaselineIsPrewarmedIntoTheCallerCache) {
     EXPECT_NE(Cache.peek(I), nullptr) << "entry " << I;
 }
 
+TEST_F(ServeTest, BaselineKeyDiscriminatesBatteryAndSteps) {
+  codegen::LinkOptions Link;
+  const std::vector<std::vector<int32_t>> One = {{1}};
+  serve::StoreKey K = serve::makeBaselineKey(P.MIR, Link, One, 1000);
+  EXPECT_EQ(K, serve::makeBaselineKey(P.MIR, Link, One, 1000));
+  EXPECT_FALSE(K == serve::makeBaselineKey(P.MIR, Link, {{2}}, 1000));
+  EXPECT_FALSE(K == serve::makeBaselineKey(P.MIR, Link, One, 1001));
+  EXPECT_FALSE(K == serve::makeBaselineKey(P.MIR, Link, {{1}, {2}}, 1000));
+  // Inputs are length-prefixed: one two-word input is not two inputs.
+  EXPECT_FALSE(serve::makeBaselineKey(P.MIR, Link, {{1, 2}}, 1000) ==
+               serve::makeBaselineKey(P.MIR, Link, {{1}, {2}}, 1000));
+  // The two-argument form keys the default verification options.
+  EXPECT_EQ(serve::makeBaselineKey(P.MIR, Link),
+            serve::makeBaselineKey(P.MIR, Link, verify::defaultInputBattery(),
+                                   verify::VerifyOptions().MaxSteps));
+}
+
+TEST_F(ServeTest, RestartWithAnotherBatteryRunsItsOwnBaseline) {
+  // The stored baseline artifact holds runs by battery index; a restart
+  // whose battery differs must not read runs recorded for other inputs.
+  serve::ServeOptions O = baseOptions();
+  O.Requests = 2;
+  O.Verify.InputBattery = {{1}};
+  serve::ServeResult First = serve::serveVariants(P, O);
+  ASSERT_TRUE(First.ok()) << First.Error;
+  ASSERT_EQ(First.Served, 2u);
+  ASSERT_EQ(First.BaselineCacheFills, 1u);
+
+  O.Verify.InputBattery = {{2}};
+  O.BaseSeed = 1000;
+  serve::ServeResult Other = serve::serveVariants(P, O);
+  ASSERT_TRUE(Other.ok()) << Other.Error;
+  EXPECT_EQ(Other.Served, 2u);
+  EXPECT_EQ(Other.Failed, 0u);
+  EXPECT_EQ(Other.BaselinePrewarmed, 0u);
+  EXPECT_EQ(Other.BaselineCacheFills, 1u);
+
+  // Another step bound is another baseline too.
+  O.Verify.MaxSteps = O.Verify.MaxSteps / 2;
+  O.BaseSeed = 2000;
+  serve::ServeResult Steps = serve::serveVariants(P, O);
+  ASSERT_TRUE(Steps.ok()) << Steps.Error;
+  EXPECT_EQ(Steps.Served, 2u);
+  EXPECT_EQ(Steps.Failed, 0u);
+  EXPECT_EQ(Steps.BaselinePrewarmed, 0u);
+
+  // A restart with the first battery still finds its own artifact.
+  O = baseOptions();
+  O.Requests = 2;
+  O.Verify.InputBattery = {{1}};
+  O.BaseSeed = 3000;
+  serve::ServeResult Again = serve::serveVariants(P, O);
+  ASSERT_TRUE(Again.ok()) << Again.Error;
+  EXPECT_EQ(Again.Served, 2u);
+  EXPECT_EQ(Again.Failed, 0u);
+  EXPECT_EQ(Again.BaselinePrewarmed, 1u);
+  EXPECT_EQ(Again.BaselineCacheFills, 0u);
+}
+
 TEST_F(ServeTest, StoreOpenFailurePropagates) {
   serve::ServeOptions O = baseOptions();
   O.StoreDir = "/dev/null/pgsd-store";
