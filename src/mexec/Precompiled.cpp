@@ -5,12 +5,14 @@
 //
 // Two halves: a one-shot lowering pass (the constructor) that flattens
 // an MModule into the PInstr stream, and the executor, which dispatches
-// that stream with computed gotos (or a plain switch when the extension
-// is unavailable). The executor mirrors the reference engine's charge
-// and trap ordering *exactly* -- cost-before-trap on stores/pushes/idiv,
+// that stream with computed gotos (a GNU extension, which GCC and Clang
+// both provide). The executor mirrors the reference engine's charge and
+// trap ordering *exactly* -- cost-before-trap on stores/pushes/idiv,
 // cost-after-read on loads/pops, prologue cost only after the stack
 // limit check -- because the bit-identity contract includes Cycles10 and
-// Instructions on trapping runs, not just clean ones.
+// Instructions on trapping runs, not just clean ones. Segment mode
+// charges a whole segment at its head and re-derives the stepped
+// counters when an instruction inside it traps.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,14 +30,6 @@ using namespace pgsd;
 using namespace pgsd::mexec;
 using namespace pgsd::mexec::detail;
 using namespace pgsd::mir;
-
-// Computed goto is a GNU extension; fall back to a switch elsewhere (or
-// when forced, so the fallback stays buildable and testable on GCC too).
-#if !defined(PGSD_MEXEC_FORCE_SWITCH) && defined(__GNUC__)
-#define PGSD_MEXEC_COMPUTED_GOTO 1
-#else
-#define PGSD_MEXEC_COMPUTED_GOTO 0
-#endif
 
 namespace {
 
@@ -76,6 +70,36 @@ Scratch &acquireScratch() {
   return S;
 }
 
+/// Whether \p MI may transfer control, so that the instruction after it
+/// must start a segment of its own (a call returns there, a not-taken
+/// Jcc falls through to it). Jmp and Ret always end their block.
+bool endsSegment(const MInstr &MI) {
+  return MI.Op == MOp::Jcc || MI.Op == MOp::Jmp || MI.Op == MOp::Ret ||
+         (MI.Op == MOp::Call && !MI.Target.IsIntrinsic);
+}
+
+/// Whether a trapping instruction has charged its own cost by the time
+/// it traps. The reference engine charges stores, pushes, calls, the
+/// intrinsics that read an argument, IDIV and ADC/SBB before their
+/// checks, and loads and pops only after a successful read.
+bool chargedBeforeTrap(POp Op) {
+  switch (Op) {
+  case POp::Store:
+  case POp::StoreFrame:
+  case POp::Push:
+  case POp::PushI:
+  case POp::CallFunc:
+  case POp::PrintI32:
+  case POp::PrintChar:
+  case POp::Sink:
+  case POp::Idiv:
+  case POp::AdcSbbTrap:
+    return true;
+  default:
+    return false;
+  }
+}
+
 } // namespace
 
 Precompiled::Precompiled(const MModule &M, const CostModel &C)
@@ -113,8 +137,10 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
   if (InitTraps)
     InitWrites.clear();
 
-  // Layout pass: every block contributes one BlockHead plus its
-  // instructions; every function is closed by a FellOff guard.
+  // Layout pass: every block contributes its instructions plus one
+  // SegHead per segment (one at the block start and one after each
+  // mid-block control transfer); every function is closed by a FellOff
+  // guard.
   size_t NumFuncs = M.Functions.size();
   FlatBase.resize(NumFuncs);
   BlocksPerFunc.resize(NumFuncs);
@@ -128,7 +154,10 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
     BlockOffset[FI].resize(F.Blocks.size());
     for (size_t B = 0; B != F.Blocks.size(); ++B) {
       BlockOffset[FI][B] = Offset;
-      Offset += 1 + static_cast<uint32_t>(F.Blocks[B].Instrs.size());
+      const std::vector<MInstr> &Instrs = F.Blocks[B].Instrs;
+      Offset += 1 + static_cast<uint32_t>(Instrs.size());
+      for (size_t I = 0; I + 1 < Instrs.size(); ++I)
+        Offset += endsSegment(Instrs[I]) ? 1 : 0;
     }
     Offset += 1; // FellOff
   }
@@ -138,11 +167,10 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
     const MFunction &F = M.Functions[FI];
     uint32_t Saved = (F.UsesEbx ? 1 : 0) + (F.UsesEsi ? 1 : 0) +
                      (F.UsesEdi ? 1 : 0);
-    Funcs[FI].Entry = BlockOffset[FI][0] + 1; // past block 0's head
+    Funcs[FI].Entry = BlockOffset[FI][0]; // block 0's head counts it
     Funcs[FI].FrameDrop = F.FrameBytes + 4 * Saved;
     Funcs[FI].PrologueCost =
         C.Push + C.MovRR + C.Alu + Saved * C.Push;
-    Funcs[FI].Block0Flat = FlatBase[FI];
   }
 
   // Emission pass.
@@ -154,11 +182,19 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
     uint32_t RetCost = Saved * C.Pop + C.Pop /*leave*/ + C.Ret;
     for (size_t B = 0; B != F.Blocks.size(); ++B) {
       assert(Code.size() == BlockOffset[FI][B] && "layout drifted");
-      PInstr Head;
-      Head.Op = POp::BlockHead;
-      Head.Ext = FlatBase[FI] + static_cast<uint32_t>(B);
-      Code.push_back(Head);
-      for (const MInstr &MI : F.Blocks[B].Instrs) {
+      const uint32_t Flat = FlatBase[FI] + static_cast<uint32_t>(B);
+      auto OpenSegment = [&](bool BlockStart) {
+        PInstr Head;
+        Head.Op = POp::SegHead;
+        Head.A = BlockStart ? 1 : 0;
+        Head.Ext = Flat;
+        Code.push_back(Head);
+        return Code.size() - 1;
+      };
+      size_t Head = OpenSegment(/*BlockStart=*/true);
+      const std::vector<MInstr> &Instrs = F.Blocks[B].Instrs;
+      for (size_t I = 0; I != Instrs.size(); ++I) {
+        const MInstr &MI = Instrs[I];
         PInstr P;
         P.Op = POp::FellOff; // overwritten below; trap if a case is missed
         switch (MI.Op) {
@@ -360,7 +396,7 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
           if (static_cast<uint32_t>(MI.Imm) ==
               static_cast<uint32_t>(B) + 1) {
             // Lexically-next target: the cost model charges nothing, and
-            // the target's BlockHead sits at the next stream slot.
+            // the target's SegHead sits at the next stream slot.
             P.Op = POp::JmpNext;
           } else {
             P.Op = POp::Jmp;
@@ -390,6 +426,13 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
           break;
         }
         Code.push_back(P);
+        // The head charges every static cost up front; a Jcc's depends
+        // on the branch outcome, so its handler charges it.
+        ++Code[Head].Imm;
+        if (P.Op != POp::Jcc)
+          Code[Head].Cost += P.Cost;
+        if (endsSegment(MI) && I + 1 != Instrs.size())
+          Head = OpenSegment(/*BlockStart=*/false);
       }
     }
     PInstr Guard;
@@ -409,10 +452,38 @@ RunResult Precompiled::run(const RunOptions &Opts) const {
 
 // The dispatch loop uses GNU computed gotos; silence -Wpedantic for the
 // extension while keeping it on everywhere else.
-#if defined(__GNUC__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpedantic"
-#endif
+
+/// Every POp, in enumerator order: the two dispatch tables are built from
+/// this list, and the static_assert below checks it against the enum.
+#define PGSD_POPS(X)                                                         \
+  X(SegHead) X(MovRR) X(MovRI) X(Load) X(Store) X(LoadFrame) X(StoreFrame)   \
+  X(LeaFrame) X(AddRR) X(SubRR) X(AndRR) X(OrRR) X(XorRR) X(CmpRR)          \
+  X(AddRI) X(SubRI) X(AndRI) X(OrRI) X(XorRI) X(CmpRI) X(AdcSbbTrap)        \
+  X(ImulRR) X(Cdq) X(Idiv) X(Neg) X(Not) X(ShlRI) X(ShrRI) X(SarRI)         \
+  X(ShlRC) X(ShrRC) X(SarRC) X(TestRR) X(Setcc) X(Movzx8) X(Push) X(PushI)  \
+  X(Pop) X(AdjustSP) X(CallFunc) X(PrintI32) X(PrintChar) X(ReadI32)        \
+  X(InputLen) X(Sink) X(Jmp) X(JmpNext) X(Jcc) X(Ret) X(Nop) X(ProfInc)     \
+  X(FellOff)
+
+namespace {
+
+#define PGSD_ENUMERATOR(Name) POp::Name,
+constexpr POp ListedOps[] = {PGSD_POPS(PGSD_ENUMERATOR)};
+#undef PGSD_ENUMERATOR
+
+constexpr bool listedInEnumOrder() {
+  if (sizeof(ListedOps) / sizeof(ListedOps[0]) != NumPOps)
+    return false;
+  for (size_t I = 0; I != NumPOps; ++I)
+    if (ListedOps[I] != static_cast<POp>(I))
+      return false;
+  return true;
+}
+static_assert(listedInEnumOrder(), "PGSD_POPS out of sync with POp");
+
+} // namespace
 
 RunResult Precompiled::execute(const RunOptions &Opts) const {
   RunResult Result;
@@ -484,8 +555,13 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
 
   const PInstr *const Code0 = Code.data();
   const PInstr *In = Code0;
-  uint32_t PC = 0;
+  const PInstr *Seg = Code0; ///< Head of the segment in segment mode.
 
+  // Base + displacement wraps at 32 bits, as on IA-32 (a signed sum
+  // could overflow).
+  auto effAddr = [](int32_t Base, int32_t Disp) {
+    return static_cast<uint32_t>(Base) + static_cast<uint32_t>(Disp);
+  };
   auto trapSet = [&](TrapKind K, const char *Why) {
     Result.Trapped = true;
     Result.Trap = K;
@@ -526,6 +602,7 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
   auto fold = [&](uint32_t V) { Checksum = (Checksum ^ V) * 16777619u; };
   auto enter = [&](const PFunc &F) {
     // Prologue: push ebp; mov ebp, esp; sub esp, frame; push saved.
+    // Block 0 is counted by the SegHead at F.Entry.
     if (!push(Regs[RegEBP]))
       return false;
     Regs[RegEBP] = Regs[RegESP];
@@ -534,10 +611,19 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
       return trapSet(TrapKind::StackOverflow, "stack overflow");
     Regs[RegESP] = static_cast<int32_t>(NewESP);
     Cycles += F.PrologueCost;
-    if (CountsFlat)
-      ++CountsFlat[F.Block0Flat];
     return true;
   };
+
+  // One dispatch table per mode. Only the SegHead handler picks a mode;
+  // every other handler dispatches through its own mode's table, and
+  // every segment ends in a transfer to a SegHead (or the FellOff
+  // guard), which both tables share.
+#define PGSD_STEP_TARGET(Name) &&L_Step_##Name,
+#define PGSD_SEG_TARGET(Name) &&L_Seg_##Name,
+  static const void *const StepTargets[] = {PGSD_POPS(PGSD_STEP_TARGET)};
+  static const void *const SegTargets[] = {PGSD_POPS(PGSD_SEG_TARGET)};
+#undef PGSD_STEP_TARGET
+#undef PGSD_SEG_TARGET
 
   Regs[RegESP] = static_cast<int32_t>(codegen::StackTop);
   // _start pushes a fake return address before entering main.
@@ -545,13 +631,15 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
     goto done;
   if (!enter(Funcs[EntryFunc]))
     goto done;
-  PC = Funcs[EntryFunc].Entry;
+  In = Code0 + Funcs[EntryFunc].Entry;
+  goto *StepTargets[static_cast<size_t>(In->Op)];
 
-  // Count an instruction and check the budget *before* executing it,
-  // exactly like the reference loop (the trapping fetch is counted but
-  // neither executed nor charged). The cancel poll shares the check, at
-  // the same counted-instruction positions as the reference engine, so a
-  // pre-set flag traps bit-identically on either engine.
+  // Stepped mode: count an instruction and check the budget *before*
+  // executing it, exactly like the reference loop (the trapping fetch is
+  // counted but neither executed nor charged). The cancel poll shares
+  // the check, at the same counted-instruction positions as the
+  // reference engine, so a pre-set flag traps bit-identically on either
+  // engine.
 #define PGSD_STEP()                                                          \
   do {                                                                       \
     if (++Instrs > MaxSteps) {                                               \
@@ -565,373 +653,307 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
     }                                                                        \
   } while (0)
 
-#if PGSD_MEXEC_COMPUTED_GOTO
-  // Order must match POp exactly; the static_assert pins the count.
-  static const void *const Targets[] = {
-      &&L_BlockHead,  &&L_MovRR,    &&L_MovRI,     &&L_Load,
-      &&L_Store,      &&L_LoadFrame, &&L_StoreFrame, &&L_LeaFrame,
-      &&L_AddRR,      &&L_SubRR,    &&L_AndRR,     &&L_OrRR,
-      &&L_XorRR,      &&L_CmpRR,    &&L_AddRI,     &&L_SubRI,
-      &&L_AndRI,      &&L_OrRI,     &&L_XorRI,     &&L_CmpRI,
-      &&L_AdcSbbTrap, &&L_ImulRR,   &&L_Cdq,       &&L_Idiv,
-      &&L_Neg,        &&L_Not,      &&L_ShlRI,     &&L_ShrRI,
-      &&L_SarRI,      &&L_ShlRC,    &&L_ShrRC,     &&L_SarRC,
-      &&L_TestRR,     &&L_Setcc,    &&L_Movzx8,    &&L_Push,
-      &&L_PushI,      &&L_Pop,      &&L_AdjustSP,  &&L_CallFunc,
-      &&L_PrintI32,   &&L_PrintChar, &&L_ReadI32,  &&L_InputLen,
-      &&L_Sink,       &&L_Jmp,      &&L_JmpNext,   &&L_Jcc,
-      &&L_Ret,        &&L_Nop,      &&L_ProfInc,   &&L_FellOff,
-  };
-  static_assert(sizeof(Targets) / sizeof(Targets[0]) == NumPOps,
-                "dispatch table out of sync with POp");
-#define PGSD_CASE(name) L_##name:
+  // Each handler body is written once and expanded twice: a stepped copy
+  // that counts, checks and charges every instruction, and a segment
+  // copy whose counting and static charge the SegHead did in advance.
+  // Inside a body, SegMode names the copy; the mode-dependent macros
+  // below fold on it at compile time.
+#define PGSD_HANDLER(Name, ...)                                              \
+  L_Step_##Name : {                                                          \
+    constexpr bool SegMode = false;                                          \
+    PGSD_STEP();                                                             \
+    __VA_ARGS__                                                              \
+  }                                                                          \
+  L_Seg_##Name : {                                                           \
+    constexpr bool SegMode = true;                                           \
+    __VA_ARGS__                                                              \
+  }
+#define PGSD_CHARGE()                                                        \
+  do {                                                                       \
+    if (!SegMode)                                                            \
+      Cycles += In->Cost;                                                    \
+  } while (0)
+#define PGSD_TRAP()                                                          \
+  do {                                                                       \
+    if (SegMode)                                                             \
+      goto segTrap;                                                          \
+    goto done;                                                               \
+  } while (0)
+#define PGSD_DISPATCH()                                                      \
+  goto *(SegMode ? SegTargets : StepTargets)[static_cast<size_t>(In->Op)]
 #define PGSD_NEXT()                                                          \
   do {                                                                       \
-    In = Code0 + PC;                                                         \
-    goto *Targets[static_cast<size_t>(In->Op)];                              \
+    ++In;                                                                    \
+    PGSD_DISPATCH();                                                         \
   } while (0)
-  PGSD_NEXT();
-#else
-#define PGSD_CASE(name) case POp::name:
-#define PGSD_NEXT() goto dispatch
-dispatch:
-  In = Code0 + PC;
-  switch (In->Op) {
-#endif
+#define PGSD_JUMP(Offset)                                                    \
+  do {                                                                       \
+    In = Code0 + (Offset);                                                   \
+    PGSD_DISPATCH();                                                         \
+  } while (0)
 
-  PGSD_CASE(BlockHead) {
-    // Pseudo-op: not an instruction, so no step/cost; jump targets and
-    // fallthrough edges land here so every block entry is counted.
-    if (CountsFlat)
+  L_Step_SegHead:
+  L_Seg_SegHead: {
+    // Pseudo-op, not an instruction. Jump targets, fallthrough edges,
+    // function entries and call returns all land here, so the head counts
+    // every block entry and is the only place the mode changes: segment
+    // mode when the whole segment fits the step budget and crosses no
+    // poll point of an installed cancel flag, stepped mode otherwise.
+    if (CountsFlat && In->A)
       ++CountsFlat[In->Ext];
-    ++PC;
-    PGSD_NEXT();
+    const uint64_t N = static_cast<uint32_t>(In->Imm);
+    if (N <= MaxSteps - Instrs &&
+        (!Cancel ||
+         Instrs / CancelPollStride == (Instrs + N) / CancelPollStride)) {
+      Seg = In;
+      Instrs += N;
+      Cycles += In->Cost;
+      ++In;
+      goto *SegTargets[static_cast<size_t>(In->Op)];
+    }
+    ++In;
+    goto *StepTargets[static_cast<size_t>(In->Op)];
   }
-  PGSD_CASE(MovRR) {
-    PGSD_STEP();
+  PGSD_HANDLER(MovRR, {
     Regs[In->A] = Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(MovRI) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(MovRI, {
     Regs[In->A] = In->Imm;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Load) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(Load, {
     int32_t V;
-    if (!read32(static_cast<uint32_t>(Regs[In->B] + In->Imm), V))
-      goto done;
+    if (!read32(effAddr(Regs[In->B], In->Imm), V))
+      PGSD_TRAP();
     Regs[In->A] = V;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Store) {
-    PGSD_STEP();
-    Cycles += In->Cost; // charged before the possibly-trapping write
-    if (!write32(static_cast<uint32_t>(Regs[In->A] + In->Imm),
-                 Regs[In->B]))
-      goto done;
-    ++PC;
+  })
+  PGSD_HANDLER(Store, {
+    PGSD_CHARGE(); // charged before the possibly-trapping write
+    if (!write32(effAddr(Regs[In->A], In->Imm), Regs[In->B]))
+      PGSD_TRAP();
     PGSD_NEXT();
-  }
-  PGSD_CASE(LoadFrame) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(LoadFrame, {
     int32_t V;
-    if (!read32(static_cast<uint32_t>(Regs[RegEBP] + In->Imm), V))
-      goto done;
+    if (!read32(effAddr(Regs[RegEBP], In->Imm), V))
+      PGSD_TRAP();
     Regs[In->A] = V;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(StoreFrame) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    if (!write32(static_cast<uint32_t>(Regs[RegEBP] + In->Imm),
-                 Regs[In->B]))
-      goto done;
-    ++PC;
+  })
+  PGSD_HANDLER(StoreFrame, {
+    PGSD_CHARGE();
+    if (!write32(effAddr(Regs[RegEBP], In->Imm), Regs[In->B]))
+      PGSD_TRAP();
     PGSD_NEXT();
-  }
-  PGSD_CASE(LeaFrame) {
-    PGSD_STEP();
-    Regs[In->A] = Regs[RegEBP] + In->Imm;
-    Cycles += In->Cost;
-    ++PC;
+  })
+  PGSD_HANDLER(LeaFrame, {
+    Regs[In->A] = static_cast<int32_t>(effAddr(Regs[RegEBP], In->Imm));
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(AddRR) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) +
-        static_cast<uint32_t>(Regs[In->B]));
-    Cycles += In->Cost;
-    ++PC;
+  })
+  PGSD_HANDLER(AddRR, {
+    Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) +
+                                       static_cast<uint32_t>(Regs[In->B]));
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(SubRR) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) -
-        static_cast<uint32_t>(Regs[In->B]));
-    Cycles += In->Cost;
-    ++PC;
+  })
+  PGSD_HANDLER(SubRR, {
+    Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) -
+                                       static_cast<uint32_t>(Regs[In->B]));
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(AndRR) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(AndRR, {
     Regs[In->A] &= Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(OrRR) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(OrRR, {
     Regs[In->A] |= Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(XorRR) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(XorRR, {
     Regs[In->A] ^= Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(CmpRR) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(CmpRR, {
     Flags.IsTest = false;
     Flags.A = Regs[In->A];
     Flags.B = Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(AddRI) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) +
-        static_cast<uint32_t>(In->Imm));
-    Cycles += In->Cost;
-    ++PC;
+  })
+  PGSD_HANDLER(AddRI, {
+    Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) +
+                                       static_cast<uint32_t>(In->Imm));
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(SubRI) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) -
-        static_cast<uint32_t>(In->Imm));
-    Cycles += In->Cost;
-    ++PC;
+  })
+  PGSD_HANDLER(SubRI, {
+    Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) -
+                                       static_cast<uint32_t>(In->Imm));
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(AndRI) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(AndRI, {
     Regs[In->A] &= In->Imm;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(OrRI) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(OrRI, {
     Regs[In->A] |= In->Imm;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(XorRI) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(XorRI, {
     Regs[In->A] ^= In->Imm;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(CmpRI) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(CmpRI, {
     Flags.IsTest = false;
     Flags.A = Regs[In->A];
     Flags.B = In->Imm;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(AdcSbbTrap) {
-    PGSD_STEP();
-    Cycles += In->Cost;
+  })
+  PGSD_HANDLER(AdcSbbTrap, {
+    PGSD_CHARGE();
     trapSet(TrapKind::BadInstruction, "ADC/SBB not produced by codegen");
-    goto done;
-  }
-  PGSD_CASE(ImulRR) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) *
-        static_cast<uint32_t>(Regs[In->B]));
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_TRAP();
+  })
+  PGSD_HANDLER(ImulRR, {
+    Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) *
+                                       static_cast<uint32_t>(Regs[In->B]));
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Cdq) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(Cdq, {
     Regs[RegEDX] = Regs[RegEAX] < 0 ? -1 : 0;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Idiv) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(Idiv, {
     int64_t Dividend = (static_cast<int64_t>(Regs[RegEDX]) << 32) |
                        static_cast<uint32_t>(Regs[RegEAX]);
     int32_t Divisor = Regs[In->B];
-    Cycles += In->Cost; // charged before the #DE checks
+    PGSD_CHARGE(); // charged before the #DE checks
     if (Divisor == 0) {
       trapSet(TrapKind::DivideByZero, "integer division by zero (#DE)");
-      goto done;
+      PGSD_TRAP();
     }
     int64_t Quot = Dividend / Divisor;
     if (Quot > INT32_MAX || Quot < INT32_MIN) {
       trapSet(TrapKind::DivideByZero, "integer division overflow (#DE)");
-      goto done;
+      PGSD_TRAP();
     }
     Regs[RegEAX] = static_cast<int32_t>(Quot);
     Regs[RegEDX] = static_cast<int32_t>(Dividend % Divisor);
-    ++PC;
     PGSD_NEXT();
-  }
-  PGSD_CASE(Neg) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        0u - static_cast<uint32_t>(Regs[In->A]));
-    Cycles += In->Cost;
-    ++PC;
+  })
+  PGSD_HANDLER(Neg, {
+    Regs[In->A] = static_cast<int32_t>(0u - static_cast<uint32_t>(Regs[In->A]));
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Not) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(Not, {
     Regs[In->A] = ~Regs[In->A];
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(ShlRI) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) << In->Ext);
-    Cycles += In->Cost;
-    ++PC;
+  })
+  PGSD_HANDLER(ShlRI, {
+    Regs[In->A] =
+        static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) << In->Ext);
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(ShrRI) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) >> In->Ext);
-    Cycles += In->Cost;
-    ++PC;
+  })
+  PGSD_HANDLER(ShrRI, {
+    Regs[In->A] =
+        static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) >> In->Ext);
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(SarRI) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(SarRI, {
     Regs[In->A] = Regs[In->A] >> In->Ext;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(ShlRC) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(ShlRC, {
     Regs[In->A] = static_cast<int32_t>(
         static_cast<uint32_t>(Regs[In->A])
         << (static_cast<uint32_t>(Regs[RegECX]) & 31));
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(ShrRC) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) >>
-        (static_cast<uint32_t>(Regs[RegECX]) & 31));
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(SarRC) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(ShrRC, {
     Regs[In->A] =
-        Regs[In->A] >> (static_cast<uint32_t>(Regs[RegECX]) & 31);
-    Cycles += In->Cost;
-    ++PC;
+        static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) >>
+                             (static_cast<uint32_t>(Regs[RegECX]) & 31));
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(TestRR) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(SarRC, {
+    Regs[In->A] = Regs[In->A] >> (static_cast<uint32_t>(Regs[RegECX]) & 31);
+    PGSD_CHARGE();
+    PGSD_NEXT();
+  })
+  PGSD_HANDLER(TestRR, {
     Flags.IsTest = true;
     Flags.A = Regs[In->A];
     Flags.B = Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Setcc) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(Setcc, {
     Regs[In->A] = (Regs[In->A] & ~0xFF) |
                   (Flags.eval(static_cast<x86::CondCode>(In->B)) ? 1 : 0);
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Movzx8) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(Movzx8, {
     Regs[In->A] = Regs[In->B] & 0xFF;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Push) {
-    PGSD_STEP();
-    Cycles += In->Cost;
+  })
+  PGSD_HANDLER(Push, {
+    PGSD_CHARGE();
     if (!push(Regs[In->A]))
-      goto done;
-    ++PC;
+      PGSD_TRAP();
     PGSD_NEXT();
-  }
-  PGSD_CASE(PushI) {
-    PGSD_STEP();
-    Cycles += In->Cost;
+  })
+  PGSD_HANDLER(PushI, {
+    PGSD_CHARGE();
     if (!push(In->Imm))
-      goto done;
-    ++PC;
+      PGSD_TRAP();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Pop) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(Pop, {
     int32_t V;
     if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
-      goto done;
+      PGSD_TRAP();
     Regs[In->A] = V;
     Regs[RegESP] += 4;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(AdjustSP) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(AdjustSP, {
     Regs[RegESP] += In->Imm;
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(CallFunc) {
-    PGSD_STEP();
-    Cycles += In->Cost;
+  })
+  PGSD_HANDLER(CallFunc, {
+    PGSD_CHARGE();
     if (Frames.size() >= MaxDepth) {
       trapSet(TrapKind::CallDepth, "call depth exceeded");
-      goto done;
+      PGSD_TRAP();
     }
     PFrame Fr;
     Fr.SavedRegs[0] = Regs[RegEBX];
@@ -939,22 +961,21 @@ dispatch:
     Fr.SavedRegs[2] = Regs[RegEDI];
     Fr.SavedRegs[3] = Regs[RegEBP];
     if (!push(0 /* return address */))
-      goto done;
+      PGSD_TRAP();
     Fr.SavedESP = static_cast<uint32_t>(Regs[RegESP]) + 4;
-    Fr.ReturnPC = PC + 1;
+    // Returns to a SegHead (or the FellOff guard).
+    Fr.ReturnPC = static_cast<uint32_t>(In - Code0) + 1;
     Frames.push_back(Fr);
     const PFunc &F = Funcs[In->Ext];
     if (!enter(F))
-      goto done;
-    PC = F.Entry;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(PrintI32) {
-    PGSD_STEP();
-    Cycles += In->Cost; // Call + Intrinsic, before the argument read
+      PGSD_TRAP();
+    PGSD_JUMP(F.Entry);
+  })
+  PGSD_HANDLER(PrintI32, {
+    PGSD_CHARGE(); // Call + Intrinsic, before the argument read
     int32_t V;
     if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
-      goto done;
+      PGSD_TRAP();
     fold(static_cast<uint32_t>(V));
     if (CollectOutput && Result.Output.size() < OutputCapBytes) {
       char Buf[16];
@@ -962,72 +983,57 @@ dispatch:
       Result.Output += Buf;
     }
     Regs[RegEAX] = 0;
-    ++PC;
     PGSD_NEXT();
-  }
-  PGSD_CASE(PrintChar) {
-    PGSD_STEP();
-    Cycles += In->Cost;
+  })
+  PGSD_HANDLER(PrintChar, {
+    PGSD_CHARGE();
     int32_t V;
     if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
-      goto done;
+      PGSD_TRAP();
     fold(0x10000u + static_cast<uint8_t>(V));
     if (CollectOutput && Result.Output.size() < OutputCapBytes)
       Result.Output += static_cast<char>(V);
     Regs[RegEAX] = 0;
-    ++PC;
     PGSD_NEXT();
-  }
-  PGSD_CASE(ReadI32) {
-    PGSD_STEP();
-    Cycles += In->Cost;
+  })
+  PGSD_HANDLER(ReadI32, {
+    PGSD_CHARGE();
     Regs[RegEAX] = InputPos < InputSize ? InputData[InputPos++] : 0;
-    ++PC;
     PGSD_NEXT();
-  }
-  PGSD_CASE(InputLen) {
-    PGSD_STEP();
-    Cycles += In->Cost;
+  })
+  PGSD_HANDLER(InputLen, {
+    PGSD_CHARGE();
     Regs[RegEAX] = static_cast<int32_t>(InputSize - InputPos);
-    ++PC;
     PGSD_NEXT();
-  }
-  PGSD_CASE(Sink) {
-    PGSD_STEP();
-    Cycles += In->Cost;
+  })
+  PGSD_HANDLER(Sink, {
+    PGSD_CHARGE();
     int32_t V;
     if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
-      goto done;
+      PGSD_TRAP();
     fold(static_cast<uint32_t>(V));
     Regs[RegEAX] = 0;
-    ++PC;
     PGSD_NEXT();
-  }
-  PGSD_CASE(Jmp) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    PC = In->Ext; // lands on the target's BlockHead
-    PGSD_NEXT();
-  }
-  PGSD_CASE(JmpNext) {
-    PGSD_STEP();
-    ++PC; // free jump to the lexically next block's BlockHead
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Jcc) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(Jmp, {
+    PGSD_CHARGE();
+    PGSD_JUMP(In->Ext); // lands on the target's SegHead
+  })
+  PGSD_HANDLER(JmpNext, {
+    PGSD_NEXT(); // free jump to the lexically next block's SegHead
+  })
+  PGSD_HANDLER(Jcc, {
+    // Charged in both modes: the outcome picks the cost, so the SegHead
+    // leaves it out of the segment's charge.
     if (Flags.eval(static_cast<x86::CondCode>(In->A))) {
       Cycles += In->Cost;
-      PC = In->Ext;
-    } else {
-      Cycles += static_cast<uint32_t>(In->Imm);
-      ++PC;
+      PGSD_JUMP(In->Ext);
     }
+    Cycles += static_cast<uint32_t>(In->Imm);
     PGSD_NEXT();
-  }
-  PGSD_CASE(Ret) {
-    PGSD_STEP();
-    Cycles += In->Cost; // epilogue: pops + leave + ret, pre-folded
+  })
+  PGSD_HANDLER(Ret, {
+    PGSD_CHARGE(); // epilogue: pops + leave + ret, pre-folded
     if (Frames.empty()) {
       Result.ExitCode = Regs[RegEAX];
       goto done;
@@ -1038,38 +1044,52 @@ dispatch:
     Regs[RegEDI] = Fr.SavedRegs[2];
     Regs[RegEBP] = Fr.SavedRegs[3];
     Regs[RegESP] = static_cast<int32_t>(Fr.SavedESP);
-    PC = Fr.ReturnPC;
+    const uint32_t ReturnPC = Fr.ReturnPC;
     Frames.pop_back();
+    PGSD_JUMP(ReturnPC);
+  })
+  PGSD_HANDLER(Nop, {
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(Nop) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(ProfInc) {
-    PGSD_STEP();
+  })
+  PGSD_HANDLER(ProfInc, {
     ++Counters[In->Ext];
-    Cycles += In->Cost;
-    ++PC;
+    PGSD_CHARGE();
     PGSD_NEXT();
-  }
-  PGSD_CASE(FellOff) {
-    // Unreachable on verified modules (every function's last block ends
-    // in Jmp/Ret); trap instead of running off the stream.
+  })
+  L_Step_FellOff:
+  L_Seg_FellOff: {
+    // Unreachable on verified modules (every function's last block ends in
+    // Jmp/Ret); trap instead of running off the stream. It follows a
+    // segment rather than belonging to one, so it always steps.
     PGSD_STEP();
     trapSet(TrapKind::BadInstruction, "fell off function end");
     goto done;
   }
 
-#if !PGSD_MEXEC_COMPUTED_GOTO
-  }
-#endif
-
-#undef PGSD_CASE
+#undef PGSD_HANDLER
+#undef PGSD_CHARGE
+#undef PGSD_TRAP
+#undef PGSD_DISPATCH
 #undef PGSD_NEXT
+#undef PGSD_JUMP
 #undef PGSD_STEP
+
+segTrap: {
+  // A segment-mode instruction trapped after its head had counted and
+  // charged the whole segment. Re-derive the counters the stepped path
+  // would hold: count the segment's instructions up to and including In,
+  // and charge those before In, plus In's own cost when it charges
+  // before trapping. No Jcc precedes In inside a segment, so every cost
+  // walked here is static.
+  Instrs = Instrs - static_cast<uint32_t>(Seg->Imm) +
+           static_cast<uint64_t>(In - Seg);
+  Cycles -= Seg->Cost;
+  for (const PInstr *P = Seg + 1; P != In; ++P)
+    Cycles += P->Cost;
+  if (chargedBeforeTrap(In->Op))
+    Cycles += In->Cost;
+}
 
 done:
   Result.Cycles10 = Cycles;
@@ -1079,6 +1099,6 @@ done:
   return Result;
 }
 
-#if defined(__GNUC__)
+#undef PGSD_POPS
+
 #pragma GCC diagnostic pop
-#endif

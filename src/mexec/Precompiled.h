@@ -21,7 +21,22 @@
 ///    dispatch at all, and a jump to the lexically next block (which the
 ///    cost model treats as free) becomes its own no-cost opcode,
 ///  - polymorphic opcodes (ALU ops, shifts, intrinsics) are split into
-///    one specialized handler per operation.
+///    one specialized handler per operation,
+///  - straight-line code is cut into segments, each behind a SegHead
+///    that carries its instruction count and summed static cost. A new
+///    segment starts at every block and after every call and Jcc, so a
+///    segment's only exit is its last instruction and every control
+///    transfer lands on a SegHead.
+///
+/// Each SegHead picks the mode its segment runs in. In segment mode the
+/// head counts and charges the whole segment at once and the handlers
+/// carry no step or cost code; that mode runs when the segment fits the
+/// step budget and crosses no poll point of an installed cancel flag.
+/// Otherwise the segment runs in stepped mode, which counts, checks and
+/// charges each instruction like the reference engine. An instruction
+/// that traps in segment mode re-derives the stepped counters from its
+/// position in the segment. Each handler body is written once and
+/// expanded for both modes over one stream.
 ///
 /// The compiled image is immutable and reusable: one Precompiled serves
 /// a whole input battery, and concurrent run() calls from ThreadPool
@@ -56,7 +71,9 @@ namespace detail {
 /// Specialized opcodes of the flat stream. One handler per enumerator;
 /// the order must match the dispatch table in Precompiled.cpp.
 enum class POp : uint8_t {
-  BlockHead, ///< Pseudo: counts a block entry when CollectBlockCounts.
+  SegHead,   ///< Pseudo: heads a segment. A = block-start flag (counts
+             ///< block Ext when CollectBlockCounts), Imm = instructions
+             ///< in the segment, Cost = their summed cost minus any Jcc.
   MovRR,
   MovRI,     ///< Also MovGlobal, with the address pre-resolved into Imm.
   Load,
@@ -95,21 +112,23 @@ enum class POp : uint8_t {
   PushI,
   Pop,
   AdjustSP,
-  CallFunc,  ///< Direct call; Ext = callee function index.
+  CallFunc,  ///< Direct call; Ext = callee function index. Ends its
+             ///< segment: the call returns to the next SegHead.
   PrintI32,  ///< One opcode per intrinsic (cost = Call + Intrinsic).
   PrintChar,
   ReadI32,
   InputLen,
   Sink,
-  Jmp,       ///< Taken jump; Ext = flat offset of the target BlockHead.
+  Jmp,       ///< Taken jump; Ext = flat offset of the target SegHead.
   JmpNext,   ///< Jump to the lexically next block: free by the cost
              ///< model, so only the step counter advances.
-  Jcc,       ///< A = cc, Ext = taken offset, Cost/Imm = taken/not-taken.
+  Jcc,       ///< A = cc, Ext = taken offset, Cost/Imm = taken/not-taken;
+             ///< charged by its handler in both modes. Ends its segment.
   Ret,       ///< Cost pre-folded: Saved*Pop + Pop(leave) + Ret.
   Nop,
   ProfInc,
   FellOff,   ///< Guard after each function's last block; unreachable on
-             ///< verified modules.
+             ///< verified modules. Belongs to no segment; always steps.
 };
 
 /// Number of POp enumerators (dispatch table size).
@@ -118,10 +137,13 @@ inline constexpr size_t NumPOps = static_cast<size_t>(POp::FellOff) + 1;
 /// One predecoded instruction: 16 bytes, so four per cache line.
 struct PInstr {
   POp Op;
-  uint8_t A = 0;     ///< Dst register index, or condition code (Jcc).
+  uint8_t A = 0;     ///< Dst register index, condition code (Jcc), or
+                     ///< block-start flag (SegHead).
   uint8_t B = 0;     ///< Src register index.
-  int32_t Imm = 0;   ///< Immediate / displacement; not-taken cost (Jcc).
-  uint32_t Cost = 0; ///< Pre-looked-up Cycles10 charge.
+  int32_t Imm = 0;   ///< Immediate / displacement; not-taken cost (Jcc);
+                     ///< instruction count (SegHead).
+  uint32_t Cost = 0; ///< Pre-looked-up Cycles10 charge; the segment's
+                     ///< charge (SegHead).
   uint32_t Ext = 0;  ///< Branch offset / callee index / counter id /
                      ///< shift count / flat block-count index.
 };
@@ -130,10 +152,9 @@ static_assert(sizeof(PInstr) == 16, "PInstr must stay cache-friendly");
 
 /// Per-function constants resolved at compile time.
 struct PFunc {
-  uint32_t Entry = 0;        ///< Flat offset just past block 0's head.
+  uint32_t Entry = 0;        ///< Flat offset of block 0's SegHead.
   uint32_t FrameDrop = 0;    ///< FrameBytes + 4 * callee-saved pushes.
   uint32_t PrologueCost = 0; ///< Push + MovRR + Alu + Saved * Push.
-  uint32_t Block0Flat = 0;   ///< Flat block-count index of block 0.
 };
 
 } // namespace detail

@@ -231,13 +231,16 @@ void checkProfileFlow(const MModule &M, Report &R) {
   // u128 so summed u64 counts cannot wrap (GCC/Clang extension; the
   // __extension__ marker keeps -Wpedantic quiet about it).
   __extension__ typedef unsigned __int128 u128;
+  // Sum of predecessor counts per block (128-bit: counts are u64); one
+  // buffer serves every function.
+  std::vector<u128> PredSum;
   for (const MFunction &F : M.Functions) {
     size_t N = F.Blocks.size();
-    // Sum of predecessor counts per block (128-bit: counts are u64).
-    std::vector<u128> PredSum(N, 0);
+    PredSum.assign(N, 0);
     for (uint32_t B = 0; B != N; ++B)
-      for (uint32_t S : F.successors(B))
+      F.forEachSuccessor(B, [&](uint32_t S) {
         PredSum[S] += F.Blocks[B].ProfileCount;
+      });
 
     for (uint32_t B = 0; B != N; ++B) {
       uint64_t C = F.Blocks[B].ProfileCount;
@@ -255,12 +258,14 @@ void checkProfileFlow(const MModule &M, Report &R) {
       }
       // Every execution of a non-returning block hands control to some
       // successor.
-      std::vector<uint32_t> Succs = F.successors(B);
-      if (Succs.empty())
-        continue; // Ret-terminated.
+      bool HasSucc = false;
       u128 SuccSum = 0;
-      for (uint32_t S : Succs)
+      F.forEachSuccessor(B, [&](uint32_t S) {
+        HasSucc = true;
         SuccSum += F.Blocks[S].ProfileCount;
+      });
+      if (!HasSucc)
+        continue; // Ret-terminated.
       if (SuccSum < C)
         R.add(ErrorCode::ProfileFlowInvalid,
               format("%s block %u: count %" PRIu64
