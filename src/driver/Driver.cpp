@@ -145,6 +145,23 @@ driver::baselineFor(const Program &P, const verify::VerifyOptions &VOpts) {
   return P.Baselines->runsFor(P.MIR, VOpts);
 }
 
+KeyPrefixMemo::State KeyPrefixMemo::stateFor(
+    const mir::MModule &M,
+    const std::function<State(const mir::MModule &)> &Compute) {
+  const uint64_t Digest = mir::digest(M);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (const Slot &S : Slots)
+    if (S.Digest == Digest)
+      return S.S;
+  Slots.push_back({Digest, Compute(M)});
+  return Slots.back().S;
+}
+
+uint64_t KeyPrefixMemo::computed() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Slots.size();
+}
+
 namespace {
 
 /// The retry loop of makeVariantVerified; \p Effective carries the

@@ -35,17 +35,46 @@
 #include "lir/MIR.h"
 #include "mexec/Interp.h"
 #include "profile/Profile.h"
+#include "support/Hash.h"
 #include "verify/BaselineCache.h"
 #include "verify/Diagnostic.h"
 #include "verify/Verifier.h"
 
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace pgsd {
 namespace driver {
+
+/// Hash states derived from a program's MIR by an expensive walk (the
+/// serve store's key prefix prints the whole module), one per MIR state,
+/// keyed by mir::digest as verify::BaselineMemo keys baseline runs. The
+/// first request for a digest computes its state under the lock, so
+/// concurrent callers walk the module once; later requests copy it.
+class KeyPrefixMemo {
+public:
+  using State = support::Fnv1aPair;
+
+  /// The state memoized for \p M's digest, computed by \p Compute(M) on
+  /// the first request for it.
+  State stateFor(const mir::MModule &M,
+                 const std::function<State(const mir::MModule &)> &Compute);
+
+  /// How many states were computed: one per distinct digest requested.
+  uint64_t computed() const;
+
+private:
+  struct Slot {
+    uint64_t Digest;
+    State S;
+  };
+  mutable std::mutex Mutex;
+  std::vector<Slot> Slots;
+};
 
 /// A compiled (but not yet diversified) program.
 struct Program {
@@ -61,6 +90,11 @@ struct Program {
   /// unchanged and gets its own once the MIR is mutated or re-stamped.
   std::shared_ptr<verify::BaselineMemo> Baselines =
       std::make_shared<verify::BaselineMemo>();
+  /// The serve store's key prefix of MIR (serve/VariantStore.h), computed
+  /// by the first serve call on this program and copied by every later
+  /// one. Keyed and shared like Baselines.
+  std::shared_ptr<KeyPrefixMemo> KeyPrefixes =
+      std::make_shared<KeyPrefixMemo>();
 
   /// True when compilation succeeded and the program is usable.
   bool ok() const { return Diags.ok(); }

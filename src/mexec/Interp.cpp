@@ -20,6 +20,13 @@ using x86::Reg;
 
 namespace {
 
+/// Base + displacement, wrapping at 32 bits as on IA-32 (a signed sum
+/// could overflow). The precompiled engine computes addresses the same
+/// way.
+uint32_t effAddr(int32_t Base, int32_t Disp) {
+  return static_cast<uint32_t>(Base) + static_cast<uint32_t>(Disp);
+}
+
 /// One shadow call-stack frame (models the prologue/epilogue contract).
 struct Frame {
   uint32_t Func;
@@ -202,7 +209,7 @@ bool Machine::step(const MInstr &I, const MFunction &F) {
     return true;
   case MOp::Load: {
     int32_t V;
-    if (!read32(static_cast<uint32_t>(reg(I.Src) + I.Imm), V))
+    if (!read32(effAddr(reg(I.Src), I.Imm), V))
       return false;
     reg(I.Dst) = V;
     Result.Cycles10 += C.Load;
@@ -210,10 +217,10 @@ bool Machine::step(const MInstr &I, const MFunction &F) {
   }
   case MOp::Store:
     Result.Cycles10 += C.Store;
-    return write32(static_cast<uint32_t>(reg(I.Dst) + I.Imm), reg(I.Src));
+    return write32(effAddr(reg(I.Dst), I.Imm), reg(I.Src));
   case MOp::LoadFrame: {
     int32_t V;
-    if (!read32(static_cast<uint32_t>(reg(Reg::EBP) + I.Imm), V))
+    if (!read32(effAddr(reg(Reg::EBP), I.Imm), V))
       return false;
     reg(I.Dst) = V;
     Result.Cycles10 += C.FrameLoad;
@@ -221,10 +228,9 @@ bool Machine::step(const MInstr &I, const MFunction &F) {
   }
   case MOp::StoreFrame:
     Result.Cycles10 += C.FrameStore;
-    return write32(static_cast<uint32_t>(reg(Reg::EBP) + I.Imm),
-                   reg(I.Src));
+    return write32(effAddr(reg(Reg::EBP), I.Imm), reg(I.Src));
   case MOp::LeaFrame:
-    reg(I.Dst) = reg(Reg::EBP) + I.Imm;
+    reg(I.Dst) = static_cast<int32_t>(effAddr(reg(Reg::EBP), I.Imm));
     Result.Cycles10 += C.Lea;
     return true;
   case MOp::AluRR:
@@ -343,7 +349,7 @@ bool Machine::step(const MInstr &I, const MFunction &F) {
     return true;
   }
   case MOp::AdjustSP:
-    reg(Reg::ESP) += I.Imm;
+    reg(Reg::ESP) = static_cast<int32_t>(effAddr(reg(Reg::ESP), I.Imm));
     Result.Cycles10 += C.Alu;
     return true;
   case MOp::Call: {

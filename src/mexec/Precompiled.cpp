@@ -945,7 +945,7 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
     PGSD_NEXT();
   })
   PGSD_HANDLER(AdjustSP, {
-    Regs[RegESP] += In->Imm;
+    Regs[RegESP] = static_cast<int32_t>(effAddr(Regs[RegESP], In->Imm));
     PGSD_CHARGE();
     PGSD_NEXT();
   })

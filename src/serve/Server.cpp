@@ -53,6 +53,7 @@ ServeResult serve::serveVariants(const driver::Program &P,
   verify::VerifyOptions Verify = O.Verify;
   Verify.Cache = &Cache;
   size_t StoredBaselineRuns = 0; ///< Entries in the loaded artifact.
+  KeyState BaseKey; ///< Shared head of this call's keys.
   StoreKey BaselineKey;
 
   {
@@ -60,9 +61,12 @@ ServeResult serve::serveVariants(const driver::Program &P,
     if (!Store.open(&R.Error))
       return R; // Unwritable store: fail loudly at startup, not later.
 
+    // Every key of this call continues from one base state; its module
+    // head is memoized on P, so only the first call on P prints P.MIR.
+    BaseKey = baseKeyState(P, O.Link);
     // The artifact holds runs by battery index: key it by the battery
     // and step bound of the runs it restores into.
-    BaselineKey = makeBaselineKey(P.MIR, O.Link, Cache.battery(),
+    BaselineKey = makeBaselineKey(BaseKey, Cache.battery(),
                                   Cache.runs()->maxSteps());
 
     // Restore baseline differential runs persisted by a previous
@@ -90,8 +94,6 @@ ServeResult serve::serveVariants(const driver::Program &P,
       O.Observer(R.Requests[I]);
   };
 
-  const std::string BaseMaterial = baseKeyMaterial(P.MIR, O.Link);
-
   {
     obs::Span Fan(Obs ? "serve.fanout" : nullptr);
     support::ThreadPool Pool(R.Jobs);
@@ -100,8 +102,7 @@ ServeResult serve::serveVariants(const driver::Program &P,
     for (uint64_t I = 0; I != O.Requests; ++I) {
       const uint64_t Seed = O.BaseSeed + I;
       const double Start = support::monotonicSeconds();
-      const StoreKey Key =
-          makeVariantKey(BaseMaterial, O.Pipe, O.Diversity, Seed);
+      const StoreKey Key = makeVariantKey(BaseKey, O.Pipe, O.Diversity, Seed);
 
       RequestResult Req;
       Req.Seed = Seed;

@@ -34,6 +34,18 @@
 /// otherwise each call builds its own (it does not read the Program's
 /// baseline memo, see driver/Batch.h).
 ///
+/// Multi-writer rule: any number of serveVariants calls, threads or
+/// processes may share one StoreDir without a lock. Each publish writes
+/// a private temp file and renames it over the entry, so a load sees a
+/// whole entry or none, and concurrent writers of one key write the same
+/// bytes (an entry is a pure function of its key). The worst a race can
+/// do is cost a refill: a loader that unlinks a corrupt entry may remove
+/// a fresh one renamed in at the same moment.
+///
+/// Keys: every key of one call is derived from one base state (see
+/// serve/VariantStore.h), whose printed-MIR head is memoized on the
+/// Program, so only the first call on a program prints its MIR.
+///
 /// Telemetry: serve.* counters, queue gauges, and a request-latency
 /// histogram (p50/p99 in ServeResult), exported via src/obs and checked
 /// by `metrics_check --serve`.

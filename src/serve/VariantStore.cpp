@@ -7,15 +7,16 @@
 
 #include "serve/VariantStore.h"
 
+#include "driver/Driver.h"
 #include "verify/Verifier.h"
 
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
+#include <cassert>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #ifdef _WIN32
 #include <process.h>
@@ -35,10 +36,8 @@ namespace fs = std::filesystem;
 uint64_t serve::fnv1a64(const void *Data, size_t Size, uint64_t Seed) {
   const uint8_t *P = static_cast<const uint8_t *>(Data);
   uint64_t H = Seed;
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= P[I];
-    H *= 0x100000001b3ull;
-  }
+  for (size_t I = 0; I != Size; ++I)
+    H = (H ^ P[I]) * support::Fnv1aPair::Prime;
   return H;
 }
 
@@ -52,34 +51,50 @@ constexpr const char *StoreVersion = "pgsd-store-v1";
 constexpr const char *VariantMagic = "pgsd-variant-v1";
 constexpr const char *BaselineMagic = "pgsd-baseline-v1";
 
-/// Shared key material of (baseline, link options): everything that
-/// determines the baseline artifact, and -- together with the pipeline,
-/// diversity options, and seed -- any variant's bytes. The printed MIR
-/// carries stamped profile counts, so a profile change re-keys.
-void appendBaseMaterial(std::string &M, const mir::MModule &Baseline,
-                        const codegen::LinkOptions &Link) {
-  M += StoreVersion;
+/// Every key's material starts with the base
+/// "<version>\0<printed MIR>\0<link fields>\0". The printed MIR carries
+/// stamped profile counts, so a profile change re-keys. The module head
+/// is the base up to the link fields; it prints the whole MIR.
+std::string moduleHead(const mir::MModule &Baseline) {
+  std::string M = StoreVersion;
   M += '\0';
   M += mir::print(Baseline);
   M += '\0';
-  M += std::to_string(Link.FunctionAlignment);
+  return M;
+}
+
+/// The link fields of the base material, with their terminator.
+std::string linkMaterial(const codegen::LinkOptions &Link) {
+  std::string M = std::to_string(Link.FunctionAlignment);
   M += Link.DiversifyStub ? "+stub" : "-stub";
   M += std::to_string(Link.StubNopProbability);
   M += std::to_string(Link.StubSeed);
   M += '\0';
+  return M;
 }
 
-StoreKey keyOf(const std::string &Material) {
+/// The finished key of a material whose streams reached \p S. Two
+/// decorrelated FNV streams (distinct bases; the second also folds the
+/// length) give a 128-bit address -- collision-free for any realistic
+/// fleet size.
+StoreKey keyOf(const KeyState &S) {
   StoreKey K;
-  // Two decorrelated FNV streams (distinct bases; the second also folds
-  // the length) give a 128-bit address -- collision-free for any
-  // realistic fleet size.
-  K.Lo = serve::fnv1a64(Material.data(), Material.size());
-  uint64_t Len = Material.size();
-  K.Hi = serve::fnv1a64(Material.data(), Material.size(),
-                        0x9e3779b97f4a7c15ull);
-  K.Hi = serve::fnv1a64(&Len, sizeof Len, K.Hi);
+  K.Lo = S.Lo;
+  K.Hi = serve::fnv1a64(&S.Len, sizeof S.Len, S.Hi);
   return K;
+}
+
+/// The state after the module head of \p Baseline.
+KeyState moduleKeyState(const mir::MModule &Baseline) {
+  KeyState S;
+  S.add(moduleHead(Baseline));
+  return S;
+}
+
+/// The base state, continuing from the module head \p Module.
+KeyState withLink(KeyState Module, const codegen::LinkOptions &Link) {
+  Module.add(linkMaterial(Link));
+  return Module;
 }
 
 void appendHex64(std::string &Out, uint64_t V) {
@@ -107,6 +122,24 @@ void putBytes(std::string &Out, const std::string &S) {
   Out += '\n';
 }
 
+/// Parses the canonical decimal that std::to_string writes: one or more
+/// digits, no sign, space or overflow. Entries are written only in that
+/// form, so anything else is damage.
+bool parseU64(std::string_view S, uint64_t &V) {
+  if (S.empty())
+    return false;
+  V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    const uint64_t D = static_cast<uint64_t>(C - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  return true;
+}
+
 /// Cursor over a payload body; every get reports failure instead of
 /// asserting so a corrupted-but-digest-colliding body still degrades to
 /// LoadStatus::Corrupt rather than undefined behaviour.
@@ -116,26 +149,26 @@ struct Cursor {
   bool OK = true;
 
   bool getU64(uint64_t &V) {
-    return getLine([&](const std::string &L) {
-      errno = 0;
-      char *End = nullptr;
-      V = std::strtoull(L.c_str(), &End, 10);
-      return End != L.c_str() && *End == '\0' && errno != ERANGE;
-    });
+    return getLine([&](std::string_view L) { return parseU64(L, V); });
   }
 
   bool getI64(int64_t &V) {
-    return getLine([&](const std::string &L) {
-      errno = 0;
-      char *End = nullptr;
-      V = std::strtoll(L.c_str(), &End, 10);
-      return End != L.c_str() && *End == '\0' && errno != ERANGE;
+    return getLine([&](std::string_view L) {
+      const bool Neg = !L.empty() && L[0] == '-';
+      uint64_t M = 0;
+      if (!parseU64(Neg ? L.substr(1) : L, M) ||
+          M > static_cast<uint64_t>(INT64_MAX) + (Neg ? 1 : 0))
+        return false;
+      V = Neg ? static_cast<int64_t>(0 - M) : static_cast<int64_t>(M);
+      return true;
     });
   }
 
   bool getBytes(std::string &V) {
     uint64_t N = 0;
-    if (!getU64(N) || Pos + N + 1 > S.size())
+    // N bytes and a newline must fit in what is left; written as a
+    // difference (Pos <= S.size() always), so no N wraps the sum.
+    if (!getU64(N) || N >= S.size() - Pos)
       return OK = false;
     V.assign(S, Pos, N);
     Pos += N;
@@ -152,7 +185,7 @@ private:
     size_t End = S.find('\n', Pos);
     if (End == std::string::npos)
       return OK = false;
-    std::string Line = S.substr(Pos, End - Pos);
+    std::string_view Line(S.data() + Pos, End - Pos);
     Pos = End + 1;
     if (!P(Line))
       return OK = false;
@@ -176,12 +209,22 @@ std::string serializeRuns(const BaselineArtifact &A) {
   return Out;
 }
 
-bool deserializeRuns(const std::string &Payload, size_t Count,
+/// The fewest payload bytes one serialized run takes: seven one-digit
+/// number lines and two empty byte strings ("0\n\n").
+constexpr size_t MinRunBytes = 7 * 2 + 2 * 3;
+
+/// Parses \p Count runs from \p Payload into \p Out (untouched on
+/// failure). The digest covers the payload, not the header, so a forged
+/// header can carry any count: it is bounded by the payload before
+/// anything is reserved. Every field must fit the RunResult it fills.
+bool deserializeRuns(const std::string &Payload, uint64_t Count,
                      BaselineArtifact &Out) {
+  if (Count > Payload.size() / MinRunBytes)
+    return false;
   Cursor C{Payload};
-  Out.Runs.clear();
-  Out.Runs.reserve(Count);
-  for (size_t I = 0; I != Count; ++I) {
+  std::vector<std::pair<uint32_t, mexec::RunResult>> Runs;
+  Runs.reserve(Count);
+  for (uint64_t I = 0; I != Count; ++I) {
     uint64_t Index = 0, Trapped = 0, Trap = 0, Cycles = 0, Instr = 0,
              Checksum = 0;
     int64_t Exit = 0;
@@ -189,6 +232,11 @@ bool deserializeRuns(const std::string &Payload, size_t Count,
     if (!C.getU64(Index) || !C.getU64(Trapped) || !C.getU64(Trap) ||
         !C.getI64(Exit) || !C.getU64(Cycles) || !C.getU64(Instr) ||
         !C.getU64(Checksum) || !C.getBytes(Reason) || !C.getBytes(Output))
+      return false;
+    // TrapKind::Cancelled is the last trap kind.
+    if (Index > UINT32_MAX || Trapped > 1 ||
+        Trap > static_cast<uint64_t>(mexec::TrapKind::Cancelled) ||
+        Exit < INT32_MIN || Exit > INT32_MAX || Checksum > UINT32_MAX)
       return false;
     mexec::RunResult R;
     R.Trapped = Trapped != 0;
@@ -199,9 +247,12 @@ bool deserializeRuns(const std::string &Payload, size_t Count,
     R.Checksum = static_cast<uint32_t>(Checksum);
     R.TrapReason = std::move(Reason);
     R.Output = std::move(Output);
-    Out.Runs.emplace_back(static_cast<uint32_t>(Index), std::move(R));
+    Runs.emplace_back(static_cast<uint32_t>(Index), std::move(R));
   }
-  return C.Pos == Payload.size();
+  if (C.Pos != Payload.size())
+    return false;
+  Out.Runs = std::move(Runs);
+  return true;
 }
 
 /// Header line: "<magic> <keyhex> <field>... <size> <digesthex>\n".
@@ -233,11 +284,15 @@ std::string StoreKey::hex() const {
   return Out;
 }
 
+KeyState serve::baseKeyState(const driver::Program &P,
+                             const codegen::LinkOptions &Link) {
+  assert(P.KeyPrefixes && "serve call on a moved-from Program");
+  return withLink(P.KeyPrefixes->stateFor(P.MIR, moduleKeyState), Link);
+}
+
 std::string serve::baseKeyMaterial(const mir::MModule &Baseline,
                                    const codegen::LinkOptions &Link) {
-  std::string M;
-  appendBaseMaterial(M, Baseline, Link);
-  return M;
+  return moduleHead(Baseline) + linkMaterial(Link);
 }
 
 StoreKey serve::makeVariantKey(const mir::MModule &Baseline,
@@ -245,15 +300,24 @@ StoreKey serve::makeVariantKey(const mir::MModule &Baseline,
                                const diversity::DiversityOptions &D,
                                uint64_t Seed,
                                const codegen::LinkOptions &Link) {
-  return makeVariantKey(baseKeyMaterial(Baseline, Link), Pipe, D, Seed);
+  return makeVariantKey(withLink(moduleKeyState(Baseline), Link), Pipe, D,
+                        Seed);
 }
 
 StoreKey serve::makeVariantKey(const std::string &BaseMaterial,
                                const diversity::Pipeline &Pipe,
                                const diversity::DiversityOptions &D,
                                uint64_t Seed) {
-  std::string M = BaseMaterial;
-  M += Pipe.label();
+  KeyState Base;
+  Base.add(BaseMaterial);
+  return makeVariantKey(Base, Pipe, D, Seed);
+}
+
+StoreKey serve::makeVariantKey(const KeyState &Base,
+                               const diversity::Pipeline &Pipe,
+                               const diversity::DiversityOptions &D,
+                               uint64_t Seed) {
+  std::string M = Pipe.label();
   M += '\0';
   // Serialize every DiversityOptions field explicitly -- label() is a
   // human-facing summary and must not be trusted to discriminate.
@@ -265,7 +329,9 @@ StoreKey serve::makeVariantKey(const std::string &BaseMaterial,
   M += D.IncludeXchgNops ? ":x" : ":-";
   M += '\0';
   M += std::to_string(Seed);
-  return keyOf(M);
+  KeyState S = Base;
+  S.add(M);
+  return keyOf(S);
 }
 
 StoreKey
@@ -273,9 +339,15 @@ serve::makeBaselineKey(const mir::MModule &Baseline,
                        const codegen::LinkOptions &Link,
                        const std::vector<std::vector<int32_t>> &Battery,
                        uint64_t MaxSteps) {
-  std::string M;
-  appendBaseMaterial(M, Baseline, Link);
-  M += "baseline";
+  return makeBaselineKey(withLink(moduleKeyState(Baseline), Link), Battery,
+                         MaxSteps);
+}
+
+StoreKey
+serve::makeBaselineKey(const KeyState &Base,
+                       const std::vector<std::vector<int32_t>> &Battery,
+                       uint64_t MaxSteps) {
+  std::string M = "baseline";
   M += '\0';
   M += std::to_string(MaxSteps);
   for (const std::vector<int32_t> &Input : Battery) {
@@ -287,7 +359,9 @@ serve::makeBaselineKey(const mir::MModule &Baseline,
       M += std::to_string(V);
     }
   }
-  return keyOf(M);
+  KeyState S = Base;
+  S.add(M);
+  return keyOf(S);
 }
 
 StoreKey serve::makeBaselineKey(const mir::MModule &Baseline,
@@ -370,10 +444,8 @@ LoadStatus VariantStore::loadFile(const std::string &Path, const StoreKey &K,
   Header.clear();
   uint64_t Size = 0;
   for (size_t I = 0; I != Rest.size(); ++I) {
-    errno = 0;
-    char *End = nullptr;
-    uint64_t V = std::strtoull(Rest[I].c_str(), &End, 10);
-    if (End == Rest[I].c_str() || *End != '\0' || errno == ERANGE)
+    uint64_t V = 0;
+    if (!parseU64(Rest[I], V))
       return Corrupt();
     if (I + 1 == Rest.size())
       Size = V;
@@ -433,9 +505,10 @@ LoadStatus VariantStore::load(const StoreKey &K, StoredVariant &Out) const {
   std::vector<uint64_t> Header;
   std::string Path = entryPath(K, ".variant");
   LoadStatus S = loadFile(Path, K, VariantMagic, Payload, Header);
-  if (S == LoadStatus::Hit && Header.size() != 3) {
+  if (S == LoadStatus::Hit &&
+      (Header.size() != 3 || Header[2] > UINT32_MAX)) {
     std::error_code EC;
-    fs::remove(Path, EC); // wrong field count: treat like a torn entry
+    fs::remove(Path, EC); // malformed fields: treat like a torn entry
     S = LoadStatus::Corrupt;
   }
   switch (S) {

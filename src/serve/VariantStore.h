@@ -29,13 +29,20 @@
 ///    the header. A truncated, bit-flipped, or wrong-format entry loads
 ///    as LoadStatus::Corrupt -- the caller recompiles and re-publishes;
 ///    a torn entry is never served.
+///  * The digest does not cover the header, so no header or body field
+///    is trusted: numbers must be canonical decimals, counts and lengths
+///    are bounded by the payload, and every field must fit the field it
+///    fills. Any file loads as Hit, Miss or Corrupt, never a throw
+///    (tests/StoreFuzzTest.cpp).
 ///
 /// Thread-safety: load() and publish() may be called concurrently from
-/// admission-queue workers; counters are atomic and distinct keys touch
-/// distinct files. Two concurrent publishes of the *same* key both write
-/// private temp files and the renames serialize -- last writer wins with
-/// either writer's complete entry visible, which is fine because entries
-/// are pure functions of their key.
+/// admission-queue workers, and from other VariantStore instances or
+/// processes on the same directory (the multi-writer rule of
+/// serve/Server.h); counters are atomic and distinct keys touch distinct
+/// files. Two concurrent publishes of the *same* key both write private
+/// temp files and the renames serialize -- last writer wins with either
+/// writer's complete entry visible, which is fine because entries are
+/// pure functions of their key.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +54,7 @@
 #include "diversity/Transform.h"
 #include "lir/MIR.h"
 #include "mexec/Interp.h"
+#include "support/Hash.h"
 
 #include <atomic>
 #include <cstdint>
@@ -54,6 +62,9 @@
 #include <vector>
 
 namespace pgsd {
+namespace driver {
+struct Program;
+} // namespace driver
 namespace serve {
 
 /// A 128-bit content address (two independent FNV-1a streams).
@@ -72,12 +83,26 @@ struct StoreKey {
 /// FNV-1a over \p Data, continuing from \p Seed (the standard offset
 /// basis by default). Exposed for payload digests and tests.
 uint64_t fnv1a64(const void *Data, size_t Size,
-                 uint64_t Seed = 0xcbf29ce484222325ull);
+                 uint64_t Seed = support::Fnv1aPair::LoBasis);
 
-/// The shared key material of (\p Baseline, \p Link) -- the expensive
-/// part of key derivation (it prints the whole MIR). The serve loop
-/// computes it once and derives per-request keys from it; a warm cache
-/// hit must not pay a module print per request.
+/// Key derivation. A key is the pair of FNV-1a streams over its key
+/// material (support::Fnv1aPair), with the material's length folded into
+/// Hi last. Every material starts with the same base: the store version,
+/// the printed baseline module, and the link options. A KeyState is the
+/// streams' state after some prefix of a material; keys derived from the
+/// base state hash only their own short suffix and are byte-identical to
+/// keys hashed from the whole material.
+using KeyState = support::Fnv1aPair;
+
+/// The base state of (P.MIR, \p Link). Its module head -- the store
+/// version and the printed MIR, the expensive step of key derivation --
+/// is memoized on \p P (driver::Program::KeyPrefixes): P.MIR is printed
+/// once per MIR digest, not once per call. Thread-safe.
+KeyState baseKeyState(const driver::Program &P,
+                      const codegen::LinkOptions &Link);
+
+/// The shared key material of (\p Baseline, \p Link) as bytes: what
+/// baseKeyState hashes. Prints the whole MIR.
 std::string baseKeyMaterial(const mir::MModule &Baseline,
                             const codegen::LinkOptions &Link);
 
@@ -88,8 +113,15 @@ StoreKey makeVariantKey(const mir::MModule &Baseline,
                         const diversity::DiversityOptions &D, uint64_t Seed,
                         const codegen::LinkOptions &Link);
 
-/// makeVariantKey from precomputed baseKeyMaterial().
+/// makeVariantKey from precomputed baseKeyMaterial(). Hashes the whole
+/// material; a caller deriving many keys should hold a base KeyState.
 StoreKey makeVariantKey(const std::string &BaseMaterial,
+                        const diversity::Pipeline &Pipe,
+                        const diversity::DiversityOptions &D, uint64_t Seed);
+
+/// makeVariantKey from a base state (baseKeyState): hashes only the
+/// per-request suffix.
+StoreKey makeVariantKey(const KeyState &Base,
                         const diversity::Pipeline &Pipe,
                         const diversity::DiversityOptions &D, uint64_t Seed);
 
@@ -101,6 +133,11 @@ StoreKey makeVariantKey(const std::string &BaseMaterial,
 /// battery or step bound must read an artifact of its own.
 StoreKey makeBaselineKey(const mir::MModule &Baseline,
                          const codegen::LinkOptions &Link,
+                         const std::vector<std::vector<int32_t>> &Battery,
+                         uint64_t MaxSteps);
+
+/// makeBaselineKey from a base state (baseKeyState).
+StoreKey makeBaselineKey(const KeyState &Base,
                          const std::vector<std::vector<int32_t>> &Battery,
                          uint64_t MaxSteps);
 

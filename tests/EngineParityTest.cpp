@@ -302,6 +302,66 @@ TEST(EngineParityTrap, BadMemoryLoadAndStore) {
   }
 }
 
+TEST(EngineParityTrap, OverflowingDisplacementsWrap) {
+  // Base + displacement wraps at 32 bits on both engines, as on IA-32:
+  // 0x7fffffff + 8 is 0x80000007, outside memory, not a signed overflow.
+  // Under UBSan a signed sum in either engine fails this test.
+  auto mov = [](Reg Dst, int32_t Imm) {
+    MInstr I;
+    I.Op = MOp::MovRI;
+    I.Dst = Dst;
+    I.Imm = Imm;
+    return I;
+  };
+  auto op = [](MOp Op, Reg Dst, Reg Src, int32_t Imm) {
+    MInstr I;
+    I.Op = Op;
+    I.Dst = Dst;
+    I.Src = Src;
+    I.Imm = Imm;
+    return I;
+  };
+  struct Case {
+    const char *What;
+    std::vector<MInstr> Body;
+    bool Traps;
+  };
+  const std::vector<Case> Cases = {
+      {"load [eax+8]",
+       {mov(Reg::EAX, INT32_MAX), op(MOp::Load, Reg::ECX, Reg::EAX, 8)},
+       true},
+      {"store [eax+8]",
+       {mov(Reg::EAX, INT32_MAX), op(MOp::Store, Reg::EAX, Reg::ECX, 8)},
+       true},
+      {"load [eax-8] from INT32_MIN",
+       {mov(Reg::EAX, INT32_MIN), op(MOp::Load, Reg::ECX, Reg::EAX, -8)},
+       true},
+      {"load frame [ebp+INT32_MAX]",
+       {op(MOp::LoadFrame, Reg::ECX, Reg::EAX, INT32_MAX)},
+       true},
+      {"store frame [ebp+INT32_MAX]",
+       {op(MOp::StoreFrame, Reg::EAX, Reg::ECX, INT32_MAX)},
+       true},
+      {"lea [ebp+INT32_MAX]",
+       {op(MOp::LeaFrame, Reg::EAX, Reg::EAX, INT32_MAX)},
+       false},
+      {"add esp, INT32_MAX",
+       {op(MOp::AdjustSP, Reg::EAX, Reg::EAX, INT32_MAX),
+        op(MOp::MovRR, Reg::EAX, Reg::ESP, 0)},
+       false},
+  };
+  for (const Case &C : Cases) {
+    MModule M = handBuilt([&](MBasicBlock &BB) { BB.Instrs = C.Body; });
+    mexec::RunResult Ref = mexec::run(M, {});
+    EXPECT_EQ(Ref.Trapped, C.Traps) << C.What;
+    EXPECT_EQ(Ref.Trap, C.Traps ? mexec::TrapKind::BadMemory
+                                : mexec::TrapKind::None)
+        << C.What;
+    mexec::Precompiled P(M);
+    expectSame(Ref, P.run({}), C.What);
+  }
+}
+
 TEST(EngineParityTrap, AdcSbbAreBadInstructions) {
   for (x86::AluOp Op : {x86::AluOp::Adc, x86::AluOp::Sbb}) {
     MModule M = handBuilt([&](MBasicBlock &BB) {

@@ -26,11 +26,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -143,6 +145,95 @@ TEST_F(ServeTest, KeyIncludesProfile) {
   EXPECT_FALSE(Before == After);
 }
 
+TEST_F(ServeTest, GoldenKeysPinStoreCompatibility) {
+  // Keys of one fixed program and fixed options, as the store has
+  // always derived them. An entry written by an older build is found
+  // only while these hold: a change that moves them must bump the store
+  // version instead of silently orphaning every stored artifact.
+  ASSERT_EQ(P.Name, "470.lbm");
+  diversity::Pipeline Nop;
+  diversity::Pipeline All(std::vector<diversity::TransformKind>{
+      diversity::TransformKind::Nop, diversity::TransformKind::Shift,
+      diversity::TransformKind::Sched, diversity::TransformKind::Regs});
+  diversity::DiversityOptions D = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.0, 0.3);
+  codegen::LinkOptions Link;
+  codegen::LinkOptions Stub;
+  Stub.DiversifyStub = true;
+  EXPECT_EQ(serve::makeVariantKey(P.MIR, Nop, D, 7, Link).hex(),
+            "2a1edd2324345a080c822ee2ec671c4d");
+  EXPECT_EQ(serve::makeVariantKey(P.MIR, All,
+                                  diversity::DiversityOptions::uniform(0.5),
+                                  7, Stub)
+                .hex(),
+            "d8fba5a1937dfdbb92c2b3f325baae53");
+  EXPECT_EQ(serve::makeBaselineKey(P.MIR, Link).hex(),
+            "29cddc5bf9f6495409e0643257198978");
+  EXPECT_EQ(serve::makeBaselineKey(P.MIR, Stub).hex(),
+            "0e27301d17e00406bec1434e81dee062");
+}
+
+TEST_F(ServeTest, BaseStateKeysMatchWholeMaterialKeys) {
+  // A key continued from the base state must equal the key hashed from
+  // the whole material in one pass, for every kind of suffix.
+  diversity::Pipeline Nop;
+  diversity::Pipeline All(std::vector<diversity::TransformKind>{
+      diversity::TransformKind::Nop, diversity::TransformKind::Shift,
+      diversity::TransformKind::Sched, diversity::TransformKind::Regs});
+  codegen::LinkOptions Stub;
+  Stub.DiversifyStub = true;
+  Stub.StubSeed = 9;
+  for (const codegen::LinkOptions &Link : {codegen::LinkOptions(), Stub}) {
+    const std::string Material = serve::baseKeyMaterial(P.MIR, Link);
+    const serve::KeyState Base = serve::baseKeyState(P, Link);
+    EXPECT_EQ(Base.Len, Material.size());
+    for (const diversity::Pipeline *Pipe : {&Nop, &All})
+      for (const diversity::DiversityOptions &D :
+           {diversity::DiversityOptions::uniform(0.5),
+            diversity::DiversityOptions::profiled(
+                diversity::ProbabilityModel::Log, 0.1, 0.4)})
+        for (uint64_t Seed : {0ull, 1ull, 77ull, ~0ull}) {
+          serve::StoreKey Whole =
+              serve::makeVariantKey(Material, *Pipe, D, Seed);
+          EXPECT_EQ(Whole, serve::makeVariantKey(Base, *Pipe, D, Seed));
+          EXPECT_EQ(Whole,
+                    serve::makeVariantKey(P.MIR, *Pipe, D, Seed, Link));
+        }
+    EXPECT_EQ(serve::makeBaselineKey(Base, {{1, 2}, {}}, 99),
+              serve::makeBaselineKey(P.MIR, Link, {{1, 2}, {}}, 99));
+  }
+}
+
+TEST_F(ServeTest, ServeCallsPrintTheProgramOncePerDigest) {
+  serve::ServeOptions O = baseOptions();
+  O.Requests = 2;
+  EXPECT_EQ(P.KeyPrefixes->computed(), 0u);
+  serve::ServeResult First = serve::serveVariants(P, O);
+  ASSERT_TRUE(First.ok()) << First.Error;
+  EXPECT_EQ(P.KeyPrefixes->computed(), 1u);
+  // Another call on the same program, under other link options too,
+  // reuses the memoized module head: it prints nothing.
+  O.Link.DiversifyStub = true;
+  serve::ServeResult Second = serve::serveVariants(P, O);
+  ASSERT_TRUE(Second.ok()) << Second.Error;
+  EXPECT_EQ(P.KeyPrefixes->computed(), 1u);
+
+  // A copy shares the memo; once its MIR is re-stamped it gets a head of
+  // its own, and its keys follow its MIR, not the stale head.
+  driver::Program Q = P;
+  const workloads::Workload &W = workloads::specSuite().front();
+  std::vector<int32_t> Other = W.TrainInput;
+  Other[0] = Other[0] / 2 + 1;
+  ASSERT_TRUE(driver::profileAndStamp(Q, Other));
+  serve::StoreKey KeyQ = serve::makeVariantKey(
+      serve::baseKeyState(Q, O.Link), O.Pipe, O.Diversity, 5);
+  EXPECT_EQ(KeyQ,
+            serve::makeVariantKey(Q.MIR, O.Pipe, O.Diversity, 5, O.Link));
+  EXPECT_FALSE(KeyQ == serve::makeVariantKey(serve::baseKeyState(P, O.Link),
+                                             O.Pipe, O.Diversity, 5));
+  EXPECT_EQ(P.KeyPrefixes->computed(), 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Store round trip and corruption handling
 //===----------------------------------------------------------------------===//
@@ -237,6 +328,153 @@ TEST_F(ServeTest, CorruptEntrySelfHeals) {
   }
   EXPECT_EQ(Store.load(K, Out), serve::LoadStatus::Corrupt);
   EXPECT_EQ(Store.load(K, Out), serve::LoadStatus::Miss);
+}
+
+/// Writes the entry file of \p K with header fields \p Fields and a
+/// digest that matches \p Payload: what a forger leaves behind, or bit
+/// rot in the header, which the payload digest does not cover.
+void writeEntry(const fs::path &Dir, const serve::StoreKey &K,
+                const char *Suffix, const char *Magic,
+                const std::string &Fields, const std::string &Payload) {
+  char Digest[17];
+  std::snprintf(Digest, sizeof Digest, "%016llx",
+                static_cast<unsigned long long>(
+                    serve::fnv1a64(Payload.data(), Payload.size())));
+  std::ofstream Out(Dir / (K.hex() + Suffix), std::ios::binary);
+  Out << Magic << ' ' << K.hex() << ' ' << Fields << ' ' << Payload.size()
+      << ' ' << Digest << '\n'
+      << Payload;
+}
+
+/// One baseline run in the payload syntax: index, trapped, trap kind,
+/// exit code, cycles, instructions, checksum, then the trap reason and
+/// the output as length-prefixed byte strings.
+std::string runPayload(const std::string &Trap, const std::string &Reason) {
+  return "0\n1\n" + Trap + "\n0\n0\n0\n0\n" + Reason + "0\n\n";
+}
+
+TEST_F(ServeTest, ForgedBaselineHeaderLoadsCorruptWithoutThrowing) {
+  serve::VariantStore Store(Dir.string());
+  ASSERT_TRUE(Store.open());
+  serve::StoreKey K{0x51, 0x52};
+  const fs::path Entry = Dir / (K.hex() + ".baseline");
+  const std::string OneRun = runPayload("4", "0\n\n");
+
+  // The run count sits in the header; the digest covers only the
+  // payload, so any count must be bounded before it sizes anything.
+  for (const char *Count :
+       {"18446744073709551615", "100000000000", "2", "0"}) {
+    writeEntry(Dir, K, ".baseline", "pgsd-baseline-v1", Count, OneRun);
+    serve::BaselineArtifact Out;
+    serve::LoadStatus S = serve::LoadStatus::Hit;
+    EXPECT_NO_THROW(S = Store.loadBaseline(K, Out)) << "count " << Count;
+    EXPECT_EQ(S, serve::LoadStatus::Corrupt) << "count " << Count;
+    EXPECT_FALSE(fs::exists(Entry)) << "count " << Count;
+  }
+
+  // The honest count loads.
+  writeEntry(Dir, K, ".baseline", "pgsd-baseline-v1", "1", OneRun);
+  serve::BaselineArtifact Out;
+  ASSERT_EQ(Store.loadBaseline(K, Out), serve::LoadStatus::Hit);
+  ASSERT_EQ(Out.Runs.size(), 1u);
+  EXPECT_EQ(Out.Runs[0].second.Trap, mexec::TrapKind::BadMemory);
+}
+
+TEST_F(ServeTest, ForgedBaselineBodyFieldsLoadCorrupt) {
+  serve::VariantStore Store(Dir.string());
+  ASSERT_TRUE(Store.open());
+  serve::StoreKey K{0x61, 0x62};
+  const std::vector<std::pair<const char *, std::string>> Bodies = {
+      // A byte-string length near 2^64 must not wrap the bounds check
+      // (the trap reason would swallow the rest of the payload).
+      {"wrapping length", runPayload("4", "18446744073709551615\n")},
+      // Trap kinds past the last TrapKind.
+      {"trap kind 8", runPayload("8", "0\n\n")},
+      {"trap kind 256", runPayload("256", "0\n\n")},
+      // Fields wider than the RunResult field they fill.
+      {"wide index", "4294967296" + runPayload("4", "0\n\n").substr(1)},
+      {"trapped 2", "0\n2" + runPayload("4", "0\n\n").substr(3)},
+  };
+  for (const auto &[What, Body] : Bodies) {
+    writeEntry(Dir, K, ".baseline", "pgsd-baseline-v1", "1", Body);
+    serve::BaselineArtifact Out;
+    EXPECT_EQ(Store.loadBaseline(K, Out), serve::LoadStatus::Corrupt) << What;
+  }
+}
+
+TEST_F(ServeTest, ForgedVariantAttemptsLoadCorrupt) {
+  serve::VariantStore Store(Dir.string());
+  ASSERT_TRUE(Store.open());
+  serve::StoreKey K{0x71, 0x72};
+  writeEntry(Dir, K, ".variant", "pgsd-variant-v1", "1 2 4294967296",
+             "\x90\xc3");
+  serve::StoredVariant Out;
+  EXPECT_EQ(Store.load(K, Out), serve::LoadStatus::Corrupt);
+  writeEntry(Dir, K, ".variant", "pgsd-variant-v1", "1 2 4294967295",
+             "\x90\xc3");
+  ASSERT_EQ(Store.load(K, Out), serve::LoadStatus::Hit);
+  EXPECT_EQ(Out.Attempts, 4294967295u);
+}
+
+TEST_F(ServeTest, TwoStoresOnOneDirectoryNeverServeATornEntry) {
+  // The multi-writer rule (serve/Server.h): any number of stores, in one
+  // process or several, may publish and load the same keys on one
+  // directory. Each publish writes a private temp file and renames it
+  // into place, so a load sees a whole entry or none.
+  serve::VariantStore A(Dir.string()), B(Dir.string());
+  ASSERT_TRUE(A.open());
+  ASSERT_TRUE(B.open());
+  constexpr unsigned Keys = 6, Threads = 4, Rounds = 20;
+  auto Entry = [](unsigned I) {
+    serve::StoredVariant V;
+    V.Text.assign(2048 + 512 * I, static_cast<uint8_t>(0x90 + I));
+    V.Seed = I;
+    V.SeedUsed = I + 100;
+    V.Attempts = I + 1;
+    return V;
+  };
+  std::atomic<unsigned> Bad{0}, Hits{0};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      const serve::VariantStore &S = T % 2 ? A : B;
+      for (unsigned R = 0; R != Rounds; ++R)
+        for (unsigned I = 0; I != Keys; ++I) {
+          if ((I + T) % 2 == 0 && !S.publish({I, I}, Entry(I)))
+            ++Bad;
+          const unsigned J = (I + T + R) % Keys;
+          serve::StoredVariant Out;
+          switch (S.load({J, J}, Out)) {
+          case serve::LoadStatus::Hit: {
+            serve::StoredVariant Want = Entry(J);
+            if (Out.Text != Want.Text || Out.SeedUsed != Want.SeedUsed ||
+                Out.Attempts != Want.Attempts)
+              ++Bad;
+            ++Hits;
+            break;
+          }
+          case serve::LoadStatus::Miss:
+            break;
+          case serve::LoadStatus::Corrupt:
+            ++Bad;
+            break;
+          }
+        }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Bad.load(), 0u);
+  EXPECT_GT(Hits.load(), 0u);
+  EXPECT_EQ(A.corruptions() + B.corruptions(), 0u);
+  for (unsigned I = 0; I != Keys; ++I) {
+    serve::StoredVariant Out;
+    ASSERT_EQ(A.load({I, I}, Out), serve::LoadStatus::Hit) << I;
+    EXPECT_EQ(Out.Text, Entry(I).Text);
+  }
+  // No temp file outlives its publish.
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+    EXPECT_EQ(E.path().string().find(".tmp."), std::string::npos)
+        << E.path();
 }
 
 TEST_F(ServeTest, StoreOpenFailsOnUncreatablePath) {
